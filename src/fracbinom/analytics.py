@@ -1,16 +1,18 @@
 """Closed-form quantities of the fractional binomial process.
 
-Every formula here reduces to a finite combination of Mittag-Leffler
-relaxation values E_{order,1}(-k (birth+death) t**order), k = 0..N.  The
-combination weights are alternating binomial sums that cancel
-catastrophically in plain float64 once N grows past ~40, so they are built
-once per parameter set in double-double arithmetic from the product form of
-the generating function and contracted against the relaxation vector in
-compensated arithmetic.  The relaxation vector is evaluated once per call
-(N+1 Mittag-Leffler evaluations, not O(N^4)).
+The fractional process is the classical chain read at the inverse stable
+subordinator, whose value at time t is V = t**order X with X = S**-order for
+a unit stable draw S.  Given V every slot relaxes on its own, so the
+population is Bin(M, p + q Z) + Bin(N - M, p (1 - Z)) with
+Z = exp(-(birth+death) V): state probabilities are a mixture with no
+negative terms.  `pmf`, `pure_birth_pmf` and `extinction_probability`
+average that law over one cached positive quadrature rule for X, built from
+Kanter's representation of S; at order 1 the rule is the single atom X = 1.
+`pmf` first reduces the rule to a Gauss rule in Z with ceil((N+1)/2) nodes,
+which is exact for the degree-N polynomial the conditional law is in Z.
 
-State probabilities are exact for the classical chain (order=1) and for
-fractional order are the one-dimensional time-changed marginals.
+Moments reduce to Mittag-Leffler relaxation values
+E_{order,1}(-k (birth+death) t**order), k = 1, 2.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import gammaln, xlogy
 
-from . import _dd
 from .mittag_leffler import ml, ml_one
-from .model import ProcessParams, Regime, classify, equilibrium_p
+from .model import ProcessParams, Regime, classify, equilibrium_p, _occupancy
 
 __all__ = [
     "AccuracyError",
@@ -45,9 +47,6 @@ __all__ = [
 # Tolerated roundoff on probability vectors; anything worse is treated as a
 # formula/accuracy failure rather than silently clamped.
 EPS_NUM = 1e-9
-
-MAX_CEILING = 150
-WARN_CEILING = 60
 
 
 class AccuracyError(ArithmeticError):
@@ -99,94 +98,117 @@ def _finalize_pmf(t, raw, context):
 
 
 # ---------------------------------------------------------------------------
-# relaxation-weight tables
+# subordination mixture
 #
-# The classical generating function is a product of N linear factors in the
-# variable e = exp(-(birth+death) t); expanding it in (state, e-power) gives
-# integer-combination weights W[n, s] with p_n(t) = sum_s W[n, s] e^s.  The
-# fractional process replaces e^s by E_{order,1}(-s (birth+death) t**order).
+# Kanter: X = sin(U) sin(order U)**-order sin((1-order) U)**(order-1)
+# W**(1-order), U uniform on (0, pi), W standard exponential (the formula
+# sampler.stable_subordinator_unit draws S from).  The rule is tanh-sinh in
+# U times a trapezoid in tau with log W = tau - exp(-tau).  Against the
+# extended-precision series, sum_i w_i exp(-y x_i) matches E_{order,1}(-y)
+# within 1e-14 for order in [0.05, 0.9999], y in [1e-3, 1e3]; order -> 1 sets
+# the U step.
 # ---------------------------------------------------------------------------
 
-
-def _slot_probabilities(birth_rate, death_rate):
-    total = _dd.two_sum(birth_rate, death_rate)
-    p = _dd.dd_div(_dd.dd(birth_rate), total)
-    q = _dd.dd_div(_dd.dd(death_rate), total)
-    return p, q
-
-
-def _shift_accumulate(acc, block, shift_n, shift_s, coeff):
-    # acc += coeff * block shifted by (shift_n, shift_s); all dd arrays
-    bh, bl = _dd.dd_mul(block, coeff)
-    ah, al = acc
-    rows, cols = bh.shape
-    dst = (slice(shift_n, None), slice(shift_s, None))
-    src = (slice(0, rows - shift_n), slice(0, cols - shift_s))
-    rh, rl = _dd.dd_add((ah[dst], al[dst]), (bh[src], bl[src]))
-    ah[dst] = rh
-    al[dst] = rl
+_U_STEP = 0.04
+_U_NODES = 82  # tanh-sinh nodes on each side of U = pi/2
+_LOGW_STEP = 0.08
+_LOGW_NODES = (-52, 46)  # tau = k * _LOGW_STEP for k in this range
+_ATOM_FLOOR = 1e-18  # lighter atoms are dropped (~2e-16 of mass in all)
+_EXHAUSTED = 1e-15  # Stieltjes stops when the atoms are spent to rounding
 
 
 @functools.lru_cache(maxsize=16)
-def _relaxation_weights(birth_rate, death_rate, ceiling, initial):
-    """Weight matrix W with p_n = sum_s W[n, s] * relaxation(s), as dd arrays."""
-    n_states = ceiling + 1
-    p, q = _slot_probabilities(birth_rate, death_rate)
-    neg_p = _dd.dd_neg(p)
-    neg_q = _dd.dd_neg(q)
-    work = _dd.dd_zeros((n_states, n_states))
-    work[0][0, 0] = 1.0
-    # (ceiling - initial) vacancy factors: (q + p e) + (p - p e) v
-    for _ in range(ceiling - initial):
-        acc = _dd.dd_zeros((n_states, n_states))
-        _shift_accumulate(acc, work, 0, 0, q)
-        _shift_accumulate(acc, work, 0, 1, p)
-        _shift_accumulate(acc, work, 1, 0, p)
-        _shift_accumulate(acc, work, 1, 1, neg_p)
-        work = acc
-    # initial occupied factors: (q - q e) + (p + q e) v
-    for _ in range(initial):
-        acc = _dd.dd_zeros((n_states, n_states))
-        _shift_accumulate(acc, work, 0, 0, q)
-        _shift_accumulate(acc, work, 0, 1, neg_q)
-        _shift_accumulate(acc, work, 1, 0, p)
-        _shift_accumulate(acc, work, 1, 1, q)
-        work = acc
-    work[0].setflags(write=False)
-    work[1].setflags(write=False)
-    return work
+def _subordination_rule(order):
+    """Atoms (x, w) of a positive rule for the law of X = S**-order; sum w = 1."""
+    if order == 1.0:
+        return np.ones(1), np.ones(1)
+    k = _U_STEP * np.arange(-_U_NODES, _U_NODES + 1)
+    s = 0.5 * math.pi * np.sinh(k)
+    u = math.pi / (1.0 + np.exp(-2.0 * s))
+    u_rest = math.pi / (1.0 + np.exp(2.0 * s))  # pi - u, exact near U = pi
+    u_weight = 0.25 * math.pi * _U_STEP * np.cosh(k) / np.cosh(s) ** 2
+    # sin(order U) through pi - order U = (1-order) pi + order (pi - U) near pi
+    sin_order = np.sin(np.minimum(order * u, (1.0 - order) * math.pi + order * u_rest))
+    log_x_u = (
+        np.log(np.sin(np.minimum(u, u_rest)))
+        - order * np.log(sin_order)
+        - (1.0 - order) * np.log(np.sin((1.0 - order) * u))
+    )
+    tau = _LOGW_STEP * np.arange(*_LOGW_NODES)
+    log_w = tau - np.exp(-tau)
+    w_weight = _LOGW_STEP * (1.0 + np.exp(-tau)) * np.exp(log_w - np.exp(log_w))
+    x = np.exp(log_x_u[:, None] + (1.0 - order) * log_w[None, :]).ravel()
+    weight = np.outer(u_weight, w_weight).ravel()
+    keep = weight > _ATOM_FLOOR
+    x, weight = x[keep], weight[keep] / weight[keep].sum()
+    x.setflags(write=False)
+    weight.setflags(write=False)
+    return x, weight
 
 
-@functools.lru_cache(maxsize=16)
-def _extinction_weights(birth_rate, death_rate, ceiling, initial):
-    """1-D weights of the extinction probability over the relaxation index."""
-    n_coeff = ceiling + 1
-    p, q = _slot_probabilities(birth_rate, death_rate)
-    neg_q = _dd.dd_neg(q)
-    wh = np.zeros(n_coeff)
-    wl = np.zeros(n_coeff)
-    wh[0] = 1.0
-    for _ in range(ceiling - initial):
-        # multiply by (q + p e)
-        th, tl = _dd.dd_mul((wh, wl), p)
-        wh, wl = _dd.dd_mul((wh, wl), q)
-        rh, rl = _dd.dd_add((wh[1:], wl[1:]), (th[:-1], tl[:-1]))
-        wh[1:], wl[1:] = rh, rl
-    for _ in range(initial):
-        # multiply by (q - q e)
-        th, tl = _dd.dd_mul((wh, wl), neg_q)
-        wh, wl = _dd.dd_mul((wh, wl), q)
-        rh, rl = _dd.dd_add((wh[1:], wl[1:]), (th[:-1], tl[:-1]))
-        wh[1:], wl[1:] = rh, rl
-    wh.setflags(write=False)
-    wl.setflags(write=False)
-    return wh, wl
+def _relaxed_atoms(params, t):
+    """Z = exp(-(birth+death) t**order X) and 1 - Z at the atoms, with their weights."""
+    x, weight = _subordination_rule(params.order)
+    exponent = -params.total_rate * t**params.order * x
+    return np.exp(exponent), -np.expm1(exponent), weight
 
 
-def _relaxation_vector(order, rate_scale, t, count):
-    """[E_{order,1}(-k * rate_scale * t**order) for k in 0..count-1]."""
-    tp = float(t) ** order
-    return np.array([ml_one(order, -k * rate_scale * tp) for k in range(count)])
+def _gauss_rule(values, weights, count):
+    """Gauss rule of at most `count` nodes for the atoms (values, weights).
+
+    Stieltjes' procedure, in its orthonormal (Lanczos) form, gives the
+    Jacobi matrix of the discrete measure; its eigenvalues are the nodes and
+    the squared first components of its eigenvectors the weights.  It stops
+    early once the atoms are spent to rounding (all at one point, say).
+    """
+    diag, off = [], []
+    vec, prev, beta = np.sqrt(weights), 0.0, 0.0
+    for _ in range(count):
+        nxt = values * vec
+        alpha = nxt @ vec
+        nxt -= alpha * vec + beta * prev
+        diag.append(alpha)
+        beta = math.sqrt(nxt @ nxt)
+        if beta <= _EXHAUSTED:
+            break
+        off.append(beta)
+        prev, vec = vec, nxt / beta
+    nodes, vecs = eigh_tridiagonal(np.array(diag), np.array(off[: len(diag) - 1]))
+    return np.clip(nodes, 0.0, 1.0), vecs[0] ** 2
+
+
+def _binomial_rows(n, success, failure):
+    """Bin(n, .) probabilities of 0..n, one row per node, in log space (0 log 0 = 0)."""
+    k = np.arange(n + 1)
+    log_choose = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    return np.exp(log_choose + xlogy(k, success[:, None]) + xlogy(n - k, failure[:, None]))
+
+
+def _mixture_pmf(params, t, context):
+    """The two-binomial law averaged over a Gauss rule in Z (or in 1 - Z)."""
+    decay, growth, weight = _relaxed_atoms(params, t)
+    count = params.ceiling // 2 + 1
+    if len(weight) > count:
+        # the smaller of Z and 1 - Z keeps its relative accuracy at the nodes
+        if weight @ growth < 0.5:
+            growth, weight = _gauss_rule(growth, weight, count)
+            decay = 1.0 - growth
+        else:
+            decay, weight = _gauss_rule(decay, weight, count)
+            growth = 1.0 - decay
+    p = equilibrium_p(params)
+    stay, fill = _occupancy(p, decay, growth)
+    vacant, leave = _occupancy(1.0 - p, decay, growth)
+    n_cap, m0 = params.ceiling, params.initial
+    kept = _binomial_rows(m0, stay, leave)
+    gained = _binomial_rows(n_cap - m0, fill, vacant)
+    joint = kept.T @ (weight[:, None] * gained)
+    # probs[n] sums joint[k, n - k]: padding each row by one and reading the
+    # block with rows one shorter shifts row k right by k
+    skew = np.zeros((m0 + 1, n_cap + 2))
+    skew[:, : n_cap - m0 + 1] = joint
+    probs = skew.ravel()[: (m0 + 1) * (n_cap + 1)].reshape(m0 + 1, n_cap + 1).sum(axis=0)
+    return _finalize_pmf(t, probs, context)
 
 
 def _check_time(t):
@@ -194,12 +216,6 @@ def _check_time(t):
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError(f"t must be finite and >= 0, got {t}")
     return t
-
-
-def _initial_delta(params):
-    probs = np.zeros(params.ceiling + 1)
-    probs[params.initial] = 1.0
-    return probs
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +237,15 @@ def mean(params: ProcessParams, t: float) -> float:
 def second_factorial_moment(params: ProcessParams, t: float) -> float:
     """E[X(t) (X(t) - 1)]."""
     t = _check_time(t)
-    lam, mu = params.birth_rate, params.death_rate
     n_cap, m0 = params.ceiling, params.initial
     if t == 0.0:
         return float(m0 * (m0 - 1))
-    total = lam + mu
-    tp = t**params.order
-    e1 = ml_one(params.order, -total * tp)
-    e2 = ml_one(params.order, -2.0 * total * tp)
-    h_inf = lam * lam * n_cap * (n_cap - 1) / total**2
-    cross = 2.0 * lam * m0 * (n_cap - 1) / total
+    rate_time = params.total_rate * t**params.order
+    e1 = ml_one(params.order, -rate_time)
+    e2 = ml_one(params.order, -2.0 * rate_time)
+    p = equilibrium_p(params)
+    h_inf = p * p * n_cap * (n_cap - 1)
+    cross = 2.0 * p * m0 * (n_cap - 1)
     return h_inf + e2 * (h_inf - cross + m0 * (m0 - 1)) - e1 * (2.0 * h_inf - cross)
 
 
@@ -249,50 +264,30 @@ def variance(params: ProcessParams, t: float) -> float:
 
 
 def extinction_probability(params: ProcessParams, t: float) -> float:
-    """P(population == 0 at time t); exactly 0 for the pure-birth regime."""
+    """P(population == 0 at time t); exactly 0 for the pure-birth regime.
+
+    The n = 0 term of the mixture, (q (1-Z))**M (q + p Z)**(N-M), summed over
+    every atom of the rule for X, so that it stays accurate relative to its
+    own size however small it is.
+    """
     t = _check_time(t)
-    if classify(params) is Regime.PURE_BIRTH:
-        return 0.0
-    if t == 0.0:
-        return 0.0
-    wh, wl = _extinction_weights(
-        params.birth_rate, params.death_rate, params.ceiling, params.initial
-    )
-    es = _relaxation_vector(params.order, params.total_rate, t, len(wh))
-    hi, lo = _dd.dd_dot_float(wh[None, :], wl[None, :], es)
-    value = float(hi[0] + lo[0])
-    return min(1.0, max(0.0, value))
+    decay, growth, weight = _relaxed_atoms(params, t)
+    vacant, leave = _occupancy(1.0 - equilibrium_p(params), decay, growth)
+    n_cap, m0 = params.ceiling, params.initial
+    return min(1.0, float(weight @ (leave**m0 * vacant ** (n_cap - m0))))
 
 
 def pmf(params: ProcessParams, t: float) -> Pmf:
     """Distribution of the population at time t over states 0..ceiling.
 
-    The pure-birth regime dispatches to pure_birth_pmf.  Above ceiling=60
-    alternating-sum cancellation is the known hazard and a normalization
-    check raises AccuracyError rather than returning degraded values; the
-    supported range is capped at ceiling=150.
+    A mixture of two-binomial laws with nonnegative weights (see the module
+    docstring): nothing cancels, and the ceiling has no limit.  The
+    pure-birth regime dispatches to pure_birth_pmf.
     """
     t = _check_time(t)
     if classify(params) is Regime.PURE_BIRTH:
         return pure_birth_pmf(params, t)
-    if t == 0.0:
-        return Pmf(t=0.0, probs=_initial_delta(params))
-    if params.ceiling > MAX_CEILING:
-        raise ValueError(f"pmf supports ceiling <= {MAX_CEILING}, got {params.ceiling}")
-    if params.ceiling > WARN_CEILING:
-        warnings.warn(
-            f"pmf accuracy degrades for ceiling > {WARN_CEILING} "
-            "(alternating-sum cancellation); the normalization check below "
-            "guards against silent loss",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    wh, wl = _relaxation_weights(
-        params.birth_rate, params.death_rate, params.ceiling, params.initial
-    )
-    es = _relaxation_vector(params.order, params.total_rate, t, wh.shape[1])
-    hi, lo = _dd.dd_dot_float(wh, wl, es)
-    return _finalize_pmf(t, hi + lo, f"pmf(t={t})")
+    return _mixture_pmf(params, t, f"pmf(t={t})")
 
 
 def pure_birth_pmf(params: ProcessParams, t: float) -> Pmf:
@@ -303,25 +298,7 @@ def pure_birth_pmf(params: ProcessParams, t: float) -> Pmf:
     if classify(params) is not Regime.PURE_BIRTH:
         raise ValueError("pure_birth_pmf requires death_rate == 0")
     t = _check_time(t)
-    if t == 0.0:
-        return Pmf(t=0.0, probs=_initial_delta(params))
-    n_cap, m0 = params.ceiling, params.initial
-    tp = t**params.order
-    es = np.array(
-        [ml_one(params.order, -params.birth_rate * (n_cap - m) * tp) for m in range(m0, n_cap + 1)]
-    )
-    n_states = n_cap + 1
-    wh = np.zeros((n_states, n_cap - m0 + 1))
-    wl = np.zeros_like(wh)
-    for n in range(m0, n_cap + 1):
-        lead = math.comb(n_cap - m0, n_cap - n)
-        for m in range(m0, n + 1):
-            w = lead * math.comb(n - m0, m - m0)
-            if (n - m) & 1:
-                w = -w
-            wh[n, m - m0], wl[n, m - m0] = _dd.dd_from_int(w)
-    hi, lo = _dd.dd_dot_float(wh, wl, es)
-    return _finalize_pmf(t, hi + lo, f"pure_birth_pmf(t={t})")
+    return _mixture_pmf(params, t, f"pure_birth_pmf(t={t})")
 
 
 def equilibrium_pmf(params: ProcessParams) -> Pmf:

@@ -16,8 +16,9 @@ both series cancellation and asymptotic truncation):
   the contour method below is used as a fallback if it is inadequate
   (tiny alpha with |z| near 1).
 * otherwise: Laplace inversion along a parabolic contour evaluated by the
-  trapezoidal rule.  64 quadrature nodes give ~1e-13 uniformly in alpha,
-  including alpha -> 1 where classical kernel representations degrade.
+  trapezoidal rule.  72 nodes on each side of the vertex (145 in all) give
+  ~1e-13 uniformly in alpha, including alpha -> 1 where classical kernel
+  representations degrade.
 
 alpha == 1 bypasses all of this: beta == 1 is exp(z) and general beta is
 summed through the Kummer-transformed confluent series, which has only

@@ -86,3 +86,14 @@ def classify(params: ProcessParams) -> Regime:
 def equilibrium_p(params: ProcessParams) -> float:
     """Long-run per-slot occupation probability birth_rate/(birth_rate+death_rate)."""
     return params.birth_rate / (params.birth_rate + params.death_rate)
+
+
+def _occupancy(p, decay, growth):
+    """(p + (1-p) decay, p growth): the chances that a slot occupied at the
+    start, and one vacant at the start, are occupied after operational time v.
+
+    p is the long-run occupation probability, decay = exp(-(birth+death) v)
+    and growth = 1 - decay, each passed so it stays accurate where it is
+    small.  Passing 1 - p gives the complements, vacant-stays-vacant first.
+    """
+    return p + (1.0 - p) * decay, p * growth

@@ -1,12 +1,14 @@
 """Monte Carlo simulation of the classical and fractional binomial process.
 
 The fractional process is sampled through its time-change representation: a
-classical Gillespie chain read at the inverse of a totally skewed positive
-stable subordinator.  One-point marginals are exact (the inverse subordinator
-at a fixed time has the scaling law (t/S)**order with S a unit stable draw);
-whole trajectories use a discretized subordinator path and are therefore an
-approximate time-change construction, accurate to the grid resolution in the
-placement of jump times.
+classical chain read at the inverse of a totally skewed positive stable
+subordinator.  One-point marginals are exact: the inverse subordinator at a
+fixed time has the scaling law V = (t/S)**order with S a unit stable draw,
+and given V the slots relax independently, so the state is two binomial
+draws.  Whole trajectories run a Gillespie chain through a discretized
+subordinator path and are therefore an approximate time-change
+construction, accurate to the grid resolution in the placement of jump
+times.
 
 All samplers are pure functions of (params, rng state); `ensemble` derives
 independent child streams from one master seed so results are reproducible
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ProcessParams, Regime, classify
+from .model import ProcessParams, Regime, classify, equilibrium_p, _occupancy
 
 __all__ = [
     "RngSeed",
@@ -40,12 +42,6 @@ __all__ = [
 
 # 64-bit master seed; identical seed and params give bit-identical streams.
 RngSeed = int
-
-# A single occupied/vacant slot forgets its initial state like
-# exp(-(birth+death) t); beyond ~46 relaxation times the state distribution
-# is equilibrium to below double precision, so longer Gillespie horizons are
-# statistically indistinguishable and only waste events.
-_RELAXATION_CUTOFF = 46.0
 
 
 @dataclass(frozen=True)
@@ -150,36 +146,6 @@ def classical_path(params: ProcessParams, horizon, rng) -> Path:
     return Path(np.array(times), np.array(states), horizon)
 
 
-def _final_states(params: ProcessParams, horizons, rng):
-    """Vectorized Gillespie: state of independent chains at per-chain horizons.
-
-    Horizons beyond the relaxation cutoff are clipped (see module constant);
-    the clipped dynamics are still the exact Gillespie chain.
-    """
-    horizons = np.minimum(
-        np.asarray(horizons, dtype=float), _RELAXATION_CUTOFF / params.total_rate
-    )
-    lam, mu, n_cap = params.birth_rate, params.death_rate, params.ceiling
-    k = horizons.shape[0]
-    state = np.full(k, params.initial, dtype=np.int64)
-    t = np.zeros(k)
-    active = horizons > 0.0
-    while active.any():
-        up = lam * (n_cap - state)
-        total = up + mu * state
-        alive = active & (total > 0.0)
-        active = alive
-        if not alive.any():
-            break
-        dt = rng.standard_exponential(k) / np.where(total > 0.0, total, 1.0)
-        jump_up = rng.random(k) * total < up
-        t = np.where(alive, t + dt, t)
-        advance = alive & (t <= horizons)
-        state = np.where(advance, state + np.where(jump_up, 1, -1), state)
-        active = advance
-    return state
-
-
 def fractional_value_at(params: ProcessParams, t, rng) -> int:
     """One exact draw of the fractional process at time t."""
     return int(fractional_values_at(params, t, 1, rng)[0])
@@ -193,10 +159,13 @@ def fractional_values_at(params: ProcessParams, t, size, rng):
     if t == 0.0:
         return np.full(size, params.initial, dtype=np.int64)
     if params.order == 1.0:
-        horizons = np.full(size, t)
+        v = np.full(size, t)
     else:
-        horizons = inverse_subordinator_sample(params.order, t, rng, size=size)
-    return _final_states(params, horizons, rng)
+        v = inverse_subordinator_sample(params.order, t, rng, size=size)
+    exponent = -params.total_rate * v
+    stay, fill = _occupancy(equilibrium_p(params), np.exp(exponent), -np.expm1(exponent))
+    kept = rng.binomial(params.initial, stay)
+    return kept + rng.binomial(params.ceiling - params.initial, fill)
 
 
 def fractional_path(params: ProcessParams, horizon, dt=None, *, rng) -> Path:

@@ -1,7 +1,11 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fracbinom.analytics import (
@@ -20,7 +24,7 @@ from fracbinom.analytics import (
 )
 from fracbinom.mittag_leffler import ml_one
 from fracbinom.model import ProcessParams
-from fracbinom.reference import master_equation_classical
+from fracbinom.reference import master_equation_classical, ml_series_highprec
 
 FIG1_LEFT = ProcessParams(1, 1, 100, 40, 0.7)
 FIG1_RIGHT = ProcessParams(1, 3, 100, 40, 0.7)
@@ -173,11 +177,109 @@ def test_pmf_pure_death_support():
     assert dist.probs[:8].sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_pmf_ceiling_cap_and_warning():
-    with pytest.raises(ValueError):
-        pmf(ProcessParams(1, 1, 151, 5, 0.5), 1.0)
-    with pytest.warns(RuntimeWarning):
-        pmf(ProcessParams(1, 1, 61, 5, 0.5), 1.0)
+def test_pmf_large_ceiling_normalised_without_warning():
+    for n_cap in (151, 300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = pmf(ProcessParams(1, 1, n_cap, 5, 0.5), 1.0)
+        assert len(dist) == n_cap + 1
+        assert dist.probs.min() >= 0.0
+        assert abs(dist.probs.sum() - 1.0) <= 1e-12
+
+
+def _assert_matches_moments(params, t, probs):
+    n = np.arange(params.ceiling + 1)
+    m1 = float(probs @ n)
+    var = float(probs @ (n * n)) - m1 * m1
+    assert abs(m1 - mean(params, t)) <= 1e-9 * (1 + params.ceiling)
+    assert abs(var - variance(params, t)) <= 1e-9 * (1 + params.ceiling) ** 2
+
+
+@pytest.mark.parametrize(
+    "args,t",
+    [
+        ((1.0, 0.0, 40, 1, 0.8), 0.1),  # pure birth far from its ceiling
+        ((1.0, 1e-3, 60, 3, 0.6), 4.0),  # near-pure birth
+        ((0.25, 2.5, 80, 67, 0.87), 1.0),  # M far above N p
+        ((1.426, 0.803, 147, 45, 0.883), 0.1),  # M far below N p
+        ((1.0, 2.0, 150, 10, 0.7), 0.01),
+        ((0.5, 1.5, 100, 90, 1.0), 0.01),
+    ],
+)
+def test_pmf_far_from_equilibrium(args, t):
+    # inputs whose alternating-sum weights cancelled to negative entries
+    params = ProcessParams(*args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probs = pmf(params, t).probs
+    assert probs.min() >= 0.0
+    assert abs(probs.sum() - 1.0) <= 1e-12
+    _assert_matches_moments(params, t, probs)
+    if params.order == 1.0:
+        ode = master_equation_classical(params, t, method="expm")
+        assert np.abs(probs - ode.probs).max() <= 1e-12
+
+
+@given(
+    birth=st.floats(0.0, 5.0),
+    death=st.floats(0.0, 5.0),
+    n_cap=st.integers(1, 150),
+    start=st.floats(0.0, 1.0),
+    order=st.floats(0.3, 1.0),
+    log_t=st.floats(-3.0, 3.0),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_pmf_envelope(birth, death, n_cap, start, order, log_t):
+    assume(birth + death > 0.0)
+    params = ProcessParams(birth, death, n_cap, 1 + round(start * (n_cap - 1)), order)
+    t = 10.0**log_t
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probs = pmf(params, t).probs
+    assert probs.min() >= 0.0
+    assert abs(probs.sum() - 1.0) <= 1e-12
+    _assert_matches_moments(params, t, probs)
+    assert abs(probs[0] - extinction_probability(params, t)) <= 1e-13
+
+
+def _alternating_pmf(params, t):
+    """p_n = sum_s W[n, s] E_{order,1}(-s (birth+death) t**order), the weights W
+    expanded exactly from the classical generating function, the relaxation
+    values from the extended-precision series."""
+    with mp.workdps(40):
+        p = mp.mpf(params.birth_rate) / (params.birth_rate + params.death_rate)
+        q = 1 - p
+        vacant = {(0, 0): q, (0, 1): p, (1, 0): p, (1, 1): -p}  # (state, e-power)
+        occupied = {(0, 0): q, (0, 1): -q, (1, 0): p, (1, 1): q}
+        weights = {(0, 0): mp.mpf(1)}
+        factors = [vacant] * (params.ceiling - params.initial) + [occupied] * params.initial
+        for factor in factors:
+            product = {}
+            for (n, s), c in weights.items():
+                for (dn, ds), f in factor.items():
+                    product[n + dn, s + ds] = product.get((n + dn, s + ds), 0) + c * f
+            weights = product
+        rate_time = params.total_rate * t**params.order
+        relax = []
+        for s in range(params.ceiling + 1):
+            # the series, not its contour fallback, must answer
+            assert (s * rate_time) ** (1 / params.order) / math.log(10) + 45 <= 150
+            relax.append(mp.mpf(ml_series_highprec(params.order, 1.0, -s * rate_time)))
+        probs = [mp.mpf(0)] * (params.ceiling + 1)
+        for (n, s), c in weights.items():
+            probs[n] += c * relax[s]
+        return np.array([float(x) for x in probs])
+
+
+@pytest.mark.parametrize("order", [0.3, 0.7, 0.95, 0.999])
+@pytest.mark.parametrize("u_max", [3.0, 60.0])
+@pytest.mark.parametrize("base", [(1.0, 2.0, 12, 5), (0.6, 0.3, 9, 8), (0.8, 0.0, 10, 3)])
+def test_pmf_matches_exact_alternating_sum(base, u_max, order):
+    # t puts the largest relaxation argument at |z|**(1/order) = u_max
+    params = ProcessParams(*base, order)
+    t = u_max * (params.ceiling * params.total_rate) ** (-1.0 / order)
+    want = _alternating_pmf(params, t)
+    assert np.abs(pmf(params, t).probs - want).max() <= 1e-13
 
 
 def test_pmf_finalization_guards():
@@ -265,6 +367,16 @@ def test_extinction_classical_product_form():
         decay = math.exp(-3.0 * t)
         want = (2 / 3 + decay / 3) ** 7 * (2 / 3 - 2 / 3 * decay) ** 5
         assert extinction_probability(p, t) == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("t", [0.01, 0.1])
+def test_extinction_far_from_equilibrium_is_relatively_exact(t):
+    # (q (1-e))^M (q + p e)^(N-M) is ~1e-165 at t = 0.01
+    params = ProcessParams(0.5, 1.5, 100, 90, 1.0)
+    with mp.workdps(30):
+        e = mp.exp(-2 * mp.mpf(t))
+        want = float((0.75 * (1 - e)) ** 90 * (0.75 + 0.25 * e) ** 10)
+    assert extinction_probability(params, t) == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,28 @@ def test_spectral_batch_pure_regimes():
             assert np.abs(row - direct.probs).max() <= 1e-8
 
 
+def test_spectral_batch_falls_back_to_expm():
+    # the eigenvectors of this non-symmetric generator lose conservation by ~45
+    params = ProcessParams(1, 0, 40, 1, 1.0)
+    ts = np.array([2.0, 0.05, 0.7, 0.7])
+    batch = classical_pmf_batch(params, ts)
+    for row, t in zip(batch, ts):
+        direct = master_equation_classical(params, t, method="expm")
+        assert np.abs(row - direct.probs).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "args,t", [((1, 0, 40, 1, 0.8), 0.1), ((1, 1e-3, 60, 3, 0.6), 4.0)]
+)
+def test_subordination_mc_with_ill_conditioned_spectrum(args, t):
+    from fracbinom.analytics import pmf
+
+    params = ProcessParams(*args)
+    mc = subordination_pmf_mc(params, t, 2000, seed=5)
+    assert mc.probs.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.all(np.abs(mc.probs - pmf(params, t).probs) <= 6.0 * mc.se + 1e-10)
+
+
 def test_highprec_series_classical_value():
     got = ml_series_highprec(1.0, 1.0, -1.0, digits=30)
     assert got == pytest.approx(math.exp(-1.0), abs=1e-15)
