@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln, xlogy
 
 from .mittag_leffler import ml, ml_one
@@ -161,6 +160,8 @@ def _gauss_rule(values, weights, count):
     the squared first components of its eigenvectors the weights.  It stops
     early once the atoms are spent to rounding (all at one point, say).
     """
+    # imported here: only `pmf` needs scipy.linalg, which costs ~5 MB, 0.06 s
+    from scipy.linalg import eigh_tridiagonal
     diag, off = [], []
     vec, prev, beta = np.sqrt(weights), 0.0, 0.0
     for _ in range(count):

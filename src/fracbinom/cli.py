@@ -154,7 +154,7 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(seed)
     rows = []
     for path_id in range(args.paths):
-        path = sampler.fractional_path(params, args.horizon, args.dt, rng=rng)
+        path = sampler.fractional_path(params, args.horizon, rng=rng)
         for t, state in zip(path.times, path.states):
             rows.append((path_id, float(t), int(state)))
     _emit(rows, ["path_id", "t", "state"], args)
@@ -321,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--horizon", type=float, required=True, help="real-time horizon")
     p.add_argument("--paths", type=int, default=1)
-    p.add_argument("--dt", type=float, default=None,
-                   help="jump-time localization scale (default horizon/1000)")
     p.add_argument("--seed", type=int, default=None)
     _add_output_args(p)
     p.set_defaults(func=cmd_simulate)

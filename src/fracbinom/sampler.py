@@ -1,14 +1,13 @@
 """Monte Carlo simulation of the classical and fractional binomial process.
 
-The fractional process is sampled through its time-change representation: a
-classical chain read at the inverse of a totally skewed positive stable
-subordinator.  One-point marginals are exact: the inverse subordinator at a
-fixed time has the scaling law V = (t/S)**order with S a unit stable draw,
-and given V the slots relax independently, so the state is two binomial
-draws.  Whole trajectories run a Gillespie chain through a discretized
-subordinator path and are therefore an approximate time-change
-construction, accurate to the grid resolution in the placement of jump
-times.
+The fractional process is the classical chain read at the inverse of a
+totally skewed positive stable subordinator.  One-point marginals are exact:
+the inverse subordinator at a fixed time has the scaling law
+V = (t/S)**order with S a unit stable draw, and given V the slots relax
+independently, so the state is two binomial draws.  Whole trajectories are
+exact too: the time change turns each exponential sojourn of the chain into
+a Mittag-Leffler one with the same rate, and leaves the jump directions of
+the classical embedded chain as they are.
 
 All samplers are pure functions of (params, rng state); `ensemble` derives
 independent child streams from one master seed so results are reproducible
@@ -42,6 +41,9 @@ __all__ = [
 
 # 64-bit master seed; identical seed and params give bit-identical streams.
 RngSeed = int
+
+# Path sojourns and direction uniforms are drawn this many at a time.
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -124,26 +126,7 @@ def inverse_subordinator_sample(nu, t, rng, size=None):
 
 def classical_path(params: ProcessParams, horizon, rng) -> Path:
     """One Gillespie trajectory of the classical chain on [0, horizon]."""
-    horizon = float(horizon)
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    lam, mu, n_cap = params.birth_rate, params.death_rate, params.ceiling
-    times = [0.0]
-    states = [params.initial]
-    t, n = 0.0, params.initial
-    while True:
-        up = lam * (n_cap - n)
-        down = mu * n
-        total = up + down
-        if total == 0.0:
-            break
-        t += rng.exponential(1.0 / total)
-        if t > horizon:
-            break
-        n += 1 if rng.random() * total < up else -1
-        times.append(t)
-        states.append(n)
-    return Path(np.array(times), np.array(states), horizon)
+    return _jump_path(params, 1.0, horizon, rng)
 
 
 def fractional_value_at(params: ProcessParams, t, rng) -> int:
@@ -168,54 +151,52 @@ def fractional_values_at(params: ProcessParams, t, size, rng):
     return kept + rng.binomial(params.ceiling - params.initial, fill)
 
 
-def fractional_path(params: ProcessParams, horizon, dt=None, *, rng) -> Path:
-    """Approximate trajectory of the fractional process on [0, horizon].
+def fractional_path(params: ProcessParams, horizon, *, rng) -> Path:
+    """Exact trajectory of the fractional process on [0, horizon].
 
-    A classical path is simulated in operational time and its jump instants
-    are mapped through a discretized subordinator path (linear interpolation
-    inside grid cells).  `dt` sets the real-time jump-localization scale and
-    defaults to horizon/1000; values are exact up to that resolution.
+    The chain stays in state n for a Mittag-Leffler time with survival
+    E_order(-q_n s**order), q_n = birth (N-n) + death n, and then moves as
+    the classical chain does.  At order 1 this is `classical_path`.
+    """
+    return _jump_path(params, params.order, horizon, rng)
+
+
+def _jump_path(params: ProcessParams, nu, horizon, rng) -> Path:
+    """The chain's jumps on [0, horizon] with ML(nu) sojourns (exponential at nu = 1).
+
+    Exact for the time change: a classical sojourn J ~ Exp(q_n) in operational
+    time spans the stable-subordinator increment D(s + J) - D(s), which in law
+    is J**(1/nu) S(1), a Mittag-Leffler(nu) time with rate q_n.  So each
+    sojourn is q_n**(-1/nu) G with G of unit rate, and the jump goes up with
+    probability birth (N-n) / q_n.  The loop ends at an absorbing state
+    (q_n == 0) or past the horizon.
     """
     horizon = float(horizon)
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if params.order == 1.0:
-        return classical_path(params, horizon, rng)
-    if dt is None:
-        dt = horizon / 1000.0
-    dt = float(dt)
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    nu = params.order
-    # op-grid spacing such that the median real-time advance per cell ~ dt
-    # (an increment over an op cell of width dt**nu is dt * S(1) in law)
-    op_step = dt**nu
-    block = max(64, int((horizon / dt) ** nu / math.gamma(1.0 + nu)) + 16)
-    s_grid = [np.zeros(1)]
-    s_last = 0.0
-    total_cells = 0
-    while s_last <= horizon:
-        if total_cells > 1 << 22:
-            raise RuntimeError("subordinator grid failed to reach the horizon")
-        incr = dt * stable_subordinator_unit(nu, rng, size=block)
-        chunk = s_last + np.cumsum(incr)
-        s_grid.append(chunk)
-        s_last = chunk[-1]
-        total_cells += block
-    s_vals = np.concatenate(s_grid)
-    n_cells = np.searchsorted(s_vals, horizon, side="right")
-    op_horizon = (n_cells + 1) * op_step
-    base = classical_path(params, op_horizon, rng)
-    if len(base.times) == 1:
-        return Path(np.zeros(1), base.states[:1], horizon)
-    sigma = base.times[1:]
-    cell = np.minimum((sigma // op_step).astype(np.int64), len(s_vals) - 2)
-    frac = sigma / op_step - cell
-    real_times = s_vals[cell] + frac * (s_vals[cell + 1] - s_vals[cell])
-    keep = real_times <= horizon
-    times = np.concatenate([[0.0], real_times[keep]])
-    states = np.concatenate([base.states[:1], base.states[1:][keep]])
-    return Path(times, states, horizon)
+    if not (0.0 < horizon < math.inf):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    n_cap = params.ceiling
+    levels = np.arange(n_cap + 1)
+    up_rate = params.birth_rate * (n_cap - levels)
+    total_rate = up_rate + params.death_rate * levels
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = (total_rate ** (-1.0 / nu)).tolist()
+    up_rate, total_rate = up_rate.tolist(), total_rate.tolist()
+    t, n = 0.0, params.initial
+    times, states = [t], [n]
+    sojourns = coins = []
+    while total_rate[n] > 0.0:
+        if not sojourns:
+            sojourns = ml_waiting_time(nu, 1.0, rng, size=_BLOCK).tolist()
+            coins = rng.random(_BLOCK).tolist()
+        step = t + sojourns.pop() * scale[n]
+        # small-nu sojourns can fall below one ulp of t: keep times strict
+        t = step if step > t else math.nextafter(t, math.inf)
+        if t > horizon:
+            break
+        n += 1 if coins.pop() * total_rate[n] < up_rate[n] else -1
+        times.append(t)
+        states.append(n)
+    return Path(np.array(times), np.array(states), horizon)
 
 
 def ml_waiting_time(nu, rate, rng, size=None):
@@ -244,20 +225,7 @@ def pure_birth_path_direct(params: ProcessParams, horizon, rng) -> Path:
     """Renewal construction of the pure-birth regime: one ML sojourn per level."""
     if classify(params) is not Regime.PURE_BIRTH:
         raise ValueError("pure_birth_path_direct requires death_rate == 0")
-    horizon = float(horizon)
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    n_cap, m0, nu = params.ceiling, params.initial, params.order
-    times = [0.0]
-    states = [m0]
-    t = 0.0
-    for j in range(m0, n_cap):
-        t += ml_waiting_time(nu, params.state_birth_rate(j), rng)
-        if t > horizon:
-            break
-        times.append(t)
-        states.append(j + 1)
-    return Path(np.array(times), np.array(states), horizon)
+    return _jump_path(params, params.order, horizon, rng)
 
 
 def pure_birth_states_at(params: ProcessParams, t, size, rng):

@@ -257,3 +257,12 @@ def test_module_entrypoint_help():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+def test_import_leaves_validation_stack_unloaded():
+    # the extended-precision and dense linear-algebra libraries are loaded
+    # only by the calls that use them
+    code = "import sys, fracbinom.cli; print('mpmath' in sys.modules, 'scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]

@@ -53,6 +53,15 @@ def test_master_equation_routes_agree():
         assert np.abs(via_expm.probs - via_rk.probs).max() <= 1e-11
 
 
+def test_master_equation_default_route_at_large_ceiling():
+    # the adaptive Runge-Kutta route leaves a -1.2e-12 entry here; the
+    # default matrix exponential stays within the negativity tolerance
+    params = ProcessParams(0.2629475049850304, 1.7136068122318835, 98, 17, 1.0)
+    sol = master_equation_classical(params, 1.45057454660817)
+    assert sol.probs.min() >= -1e-12
+    assert abs(sol.probs.sum() - 1.0) <= 1e-10
+
+
 def test_master_equation_long_time_binomial():
     sol = master_equation_classical(SMALL, 60.0)
     n = np.arange(13)
@@ -120,11 +129,20 @@ def test_highprec_series_reports_bound():
     assert 0 <= bound < 1e-25
 
 
-def test_highprec_contour_fallback_consistent_with_series():
+def test_highprec_contour_fallback_consistent_with_series(monkeypatch):
     # pick arguments where the series is feasible but past the default cap
     # used by the fallback criterion: compare both routes directly
-    alpha, z = 0.5, -40.0  # u = 1600, dps ~ 710 -> fallback
+    alpha, z = 0.5, -17.0  # u = 289, dps ~ 160 -> fallback
+    calls = []
+    contour = reference._ml_contour_highprec
+
+    def spy(*args):
+        calls.append(args)
+        return contour(*args)
+
+    monkeypatch.setattr(reference, "_ml_contour_highprec", spy)
     via_fallback = ml_series_highprec(alpha, 1.0, z, digits=20)
+    assert len(calls) == 1
     # series at forced precision (bypass the cap through a tiny helper call)
     x = -z
     need = 20 + int(x ** (1 / alpha) / math.log(10)) + 15

@@ -240,6 +240,48 @@ def test_fractional_path_sojourns_heavier_than_exponential():
     assert sps.kstest(fractional_pool, "expon").pvalue < 0.01
 
 
+@pytest.mark.parametrize("nu", [0.3, 0.75])
+def test_fractional_path_first_sojourn_is_mittag_leffler(nu):
+    # pure birth leaves M = 4 at rate q = N - M = 11, so the first jump time
+    # T has q**(1/nu) T with survival E_nu(-s**nu), whatever the horizon
+    from fracbinom.mittag_leffler import ml
+
+    p = ProcessParams(1, 0, 15, 4, nu)
+    rng = rng_for(24)
+    n_paths = 4000
+    first = np.empty(n_paths)
+    for i in range(n_paths):
+        times = fractional_path(p, 1e7, rng=rng).times
+        first[i] = times[1] if len(times) > 1 else math.inf
+    scaled = first * 11.0 ** (1.0 / nu)
+    s = np.array([0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 20.0])
+    want = np.array([ml(nu, 1.0, -(x**nu)) for x in s])
+    emp = (scaled[:, None] > s).mean(axis=0)
+    se = np.sqrt(want * (1.0 - want) / n_paths)
+    assert np.all(np.abs(emp - want) <= 4.0 * se), (emp, want)
+
+
+def test_fractional_path_marginal_matches_pmf_chi_square():
+    p = ProcessParams(1, 1, 20, 5, 0.6)
+    rng = rng_for(25)
+    draws = np.array([fractional_path(p, 1.0, rng=rng).states[-1] for _ in range(20_000)])
+    stat, dof = chi_square_stat(draws, analytics.pmf(p, 1.0).probs, 21)
+    assert stat <= sps.chi2.ppf(0.99, df=dof)
+
+
+@pytest.mark.parametrize("horizon", [1e-3, 10.0, 1e6])
+def test_fractional_path_small_order_strict_and_bounded(horizon):
+    # at nu = 0.05 most sojourns fall below one ulp of the current time (or
+    # underflow to 0); each jump must still get its own, later time
+    p = ProcessParams(2, 1, 30, 3, 0.05)
+    rng = rng_for(26)
+    for _ in range(50):
+        path = fractional_path(p, horizon, rng=rng)
+        assert np.all(np.isfinite(path.times)) and path.times[-1] <= horizon
+        assert np.all(np.diff(path.times) > 0.0)
+        assert path.states.min() >= 0 and path.states.max() <= 30
+
+
 # ---------------------------------------------------------------------------
 # Mittag-Leffler waiting times
 # ---------------------------------------------------------------------------
