@@ -23,10 +23,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .mittag_leffler import ml, ml_one
-from .model import ProcessParams, Regime, classify, equilibrium_p, _occupancy
+from .model import ProcessParams, Regime, classify, equilibrium_p, _check_time, _occupancy
 
 __all__ = [
     "AccuracyError",
@@ -180,6 +179,8 @@ def _gauss_rule(values, weights, count):
 
 def _binomial_rows(n, success, failure):
     """Bin(n, .) probabilities of 0..n, one row per node, in log space (0 log 0 = 0)."""
+    # imported here, as in _gauss_rule: scipy.special costs an importer ~26 MB, 0.3 s
+    from scipy.special import gammaln, xlogy
     k = np.arange(n + 1)
     log_choose = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
     return np.exp(log_choose + xlogy(k, success[:, None]) + xlogy(n - k, failure[:, None]))
@@ -212,16 +213,17 @@ def _mixture_pmf(params, t, context):
     return _finalize_pmf(t, probs, context)
 
 
-def _check_time(t):
-    t = float(t)
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
-    return t
-
-
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=8)
+def _relaxation(order, rate_time):
+    """(E1, E2) = E_{order,1}(-k rate_time) for k = 1, 2, the pair every moment
+    reads; kept for the last few times, since one time is usually asked for
+    its mean, variance and factorial moment in turn."""
+    return ml_one(order, -rate_time), ml_one(order, -2.0 * rate_time)
 
 
 def mean(params: ProcessParams, t: float) -> float:
@@ -231,7 +233,7 @@ def mean(params: ProcessParams, t: float) -> float:
     if t == 0.0:
         return float(m0)
     target = params.ceiling * equilibrium_p(params)
-    e1 = ml_one(params.order, -params.total_rate * t**params.order)
+    e1, _ = _relaxation(params.order, params.total_rate * t**params.order)
     return (m0 - target) * e1 + target
 
 
@@ -241,9 +243,7 @@ def second_factorial_moment(params: ProcessParams, t: float) -> float:
     n_cap, m0 = params.ceiling, params.initial
     if t == 0.0:
         return float(m0 * (m0 - 1))
-    rate_time = params.total_rate * t**params.order
-    e1 = ml_one(params.order, -rate_time)
-    e2 = ml_one(params.order, -2.0 * rate_time)
+    e1, e2 = _relaxation(params.order, params.total_rate * t**params.order)
     p = equilibrium_p(params)
     h_inf = p * p * n_cap * (n_cap - 1)
     cross = 2.0 * p * m0 * (n_cap - 1)
@@ -312,6 +312,7 @@ def equilibrium_pmf(params: ProcessParams) -> Pmf:
     elif p == 1.0:
         probs[n_cap] = 1.0
     else:
+        from scipy.special import gammaln  # see _binomial_rows
         n = np.arange(n_cap + 1)
         log_c = gammaln(n_cap + 1) - gammaln(n + 1) - gammaln(n_cap - n + 1)
         probs = np.exp(log_c + n * math.log(p) + (n_cap - n) * math.log1p(-p))

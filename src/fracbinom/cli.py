@@ -25,7 +25,7 @@ import numpy as np
 from . import analytics, reference, sampler
 from .analytics import AccuracyError
 from .mittag_leffler import ConvergenceError, ml_one
-from .model import ProcessParams
+from .model import ProcessParams, _check_time
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,13 +42,13 @@ def parse_t_grid(spec: str) -> np.ndarray:
         if parts[0] == "log":
             if len(parts) != 4:
                 raise ValueError
-            start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
+            start, stop, count = _check_time(parts[1]), _check_time(parts[2]), int(parts[3])
             if start <= 0 or stop <= start or count < 2:
                 raise ValueError
             return np.geomspace(start, stop, count)
         if len(parts) != 3:
             raise ValueError
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, count = _check_time(parts[0]), _check_time(parts[1]), int(parts[2])
         if stop <= start or count < 2:
             raise ValueError
         return np.linspace(start, stop, count)

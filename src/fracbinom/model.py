@@ -88,6 +88,14 @@ def equilibrium_p(params: ProcessParams) -> float:
     return params.birth_rate / (params.birth_rate + params.death_rate)
 
 
+def _check_time(t):
+    """t as a float; a ValueError unless it is finite and >= 0."""
+    t = float(t)
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+    return t
+
+
 def _occupancy(p, decay, growth):
     """(p + (1-p) decay, p growth): the chances that a slot occupied at the
     start, and one vacant at the start, are occupied after operational time v.

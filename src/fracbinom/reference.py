@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .model import ProcessParams, Regime, classify
 from .sampler import RngSeed, stable_subordinator_unit
@@ -32,8 +31,8 @@ __all__ = [
     "subordination_pmf_mc",
 ]
 
-# mpmath, scipy.linalg and scipy.integrate are imported where they are used:
-# only validation needs them, and they cost an importer ~29 MB and 0.35 s.
+# mpmath and scipy are imported where they are used: only validation needs
+# them, and they cost an importer ~55 MB and 0.6 s.
 
 _CONSERVATION_TOL = 1e-10
 _NEGATIVE_TOL = 1e-12
@@ -137,6 +136,7 @@ def _spectral_factors(params: ProcessParams):
     """Eigen-factorization of the generator, via the reversible symmetrization
     when both rates are positive (orthogonal, numerically stable)."""
     from scipy.linalg import eig, eigh
+    from scipy.special import gammaln
     a = generator_matrix(params)
     n_cap = params.ceiling
     if classify(params) is Regime.GENERAL:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ProcessParams, Regime, classify, equilibrium_p, _occupancy
+from .model import ProcessParams, Regime, classify, equilibrium_p, _check_time, _occupancy
 
 __all__ = [
     "RngSeed",
@@ -115,9 +115,7 @@ def stable_subordinator_unit(nu, rng, size=None):
 
 def inverse_subordinator_sample(nu, t, rng, size=None):
     """Draw the inverse subordinator at time t via the scaling identity (t/S)^nu."""
-    t = float(t)
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    t = _check_time(t)
     if t == 0.0:
         return 0.0 if size is None else np.zeros(size)
     s = stable_subordinator_unit(nu, rng, size=size)
@@ -136,9 +134,7 @@ def fractional_value_at(params: ProcessParams, t, rng) -> int:
 
 def fractional_values_at(params: ProcessParams, t, size, rng):
     """`size` independent draws of the fractional process at time t."""
-    t = float(t)
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    t = _check_time(t)
     if t == 0.0:
         return np.full(size, params.initial, dtype=np.int64)
     if params.order == 1.0:
@@ -203,7 +199,9 @@ def ml_waiting_time(nu, rate, rng, size=None):
     """Draw from the Mittag-Leffler waiting-time law with survival E_{nu,1}(-rate s^nu).
 
     Kozubowski's mixture representation; reduces to Exponential(rate) at nu=1.
-    The law is heavy tailed (index nu) with no finite mean for nu < 1.
+    The law is heavy tailed (index nu) with no finite mean for nu < 1.  At a
+    rate so small that rate**(-1/nu) leaves the float range, almost every
+    draw is infinite.
     """
     nu = float(nu)
     rate = float(rate)
@@ -217,7 +215,10 @@ def ml_waiting_time(nu, rate, rng, size=None):
     u = np.maximum(rng.random(size), 1e-300)
     v = rng.uniform(1e-14, 1.0 - 1e-16, size=size)
     mix = np.sin(nu * math.pi) / np.tan(nu * math.pi * v) - math.cos(nu * math.pi)
-    out = rate ** (-1.0 / nu) * np.abs(np.log(u)) * mix ** (1.0 / nu)
+    # one power of mix / rate: rate**(-1/nu) can overflow where mix**(1/nu)
+    # underflows, and their product would be inf * 0
+    with np.errstate(over="ignore"):
+        out = np.abs(np.log(u)) * (mix / rate) ** (1.0 / nu)
     return float(out) if size is None else out
 
 
@@ -232,7 +233,7 @@ def pure_birth_states_at(params: ProcessParams, t, size, rng):
     """Vectorized marginal of the direct pure-birth construction at time t."""
     if classify(params) is not Regime.PURE_BIRTH:
         raise ValueError("pure_birth_states_at requires death_rate == 0")
-    t = float(t)
+    t = _check_time(t)
     n_cap, m0, nu = params.ceiling, params.initial, params.order
     arrival = np.zeros(size)
     state = np.full(size, m0, dtype=np.int64)

@@ -22,6 +22,7 @@ from fracbinom.analytics import (
     variance,
     waiting_time_density,
 )
+from fracbinom import analytics
 from fracbinom.mittag_leffler import ml_one
 from fracbinom.model import ProcessParams
 from fracbinom.reference import master_equation_classical, ml_series_highprec
@@ -56,6 +57,21 @@ def test_mean_constant_when_started_at_equilibrium():
     p = ProcessParams(1, 1, 80, 40, 0.6)
     for t in (0.0, 0.3, 2.0, 50.0):
         assert mean(p, t) == pytest.approx(40.0, abs=1e-12)
+
+
+def test_moments_at_one_time_share_one_relaxation_pair(monkeypatch):
+    calls = []
+
+    def spy(alpha, z):
+        calls.append(z)
+        return ml_one(alpha, z)
+
+    monkeypatch.setattr(analytics, "ml_one", spy)
+    analytics._relaxation.cache_clear()
+    params, t = ProcessParams(1, 2, 10, 4, 0.8), 1.3
+    mean(params, t), variance(params, t), second_factorial_moment(params, t)
+    assert len(calls) == 2
+    assert calls[1] == 2.0 * calls[0]
 
 
 def test_mean_pure_death_closed_form():

@@ -89,8 +89,10 @@ def test_agreement_with_highprec_series_across_regimes(alpha, beta_kind):
     beta = {"alpha": alpha, "one": 1.0, "alpha_plus_one": alpha + 1.0, "odd": 1.37}[
         beta_kind
     ]
-    # u values straddling both regime boundaries (series<->contour<->asymptotic)
-    for u in [0.5, 3.0, 4.5, 10.0, 30.0, 40.0, 80.0]:
+    # u values straddling both regime boundaries (series<->contour<->asymptotic),
+    # on the edges of the series and asymptotic tables, and far enough out that
+    # alpha = 0.05 falls back from the asymptotic series to the contour
+    for u in [0.5, 3.0, 4.0, 4.5, 10.0, 30.0, 36.0, 40.0, 80.0, 1e3, 1e4]:
         z = -(u**alpha)
         got = ml(alpha, beta, z)
         want = ml_series_highprec(alpha, beta, z, digits=16)

@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fracbinom.analytics import mean
 from fracbinom.model import ProcessParams, Regime, classify, equilibrium_p
+from fracbinom.sampler import fractional_values_at, inverse_subordinator_sample, pure_birth_states_at
 
 
 def test_classify_general():
@@ -90,3 +93,23 @@ def test_params_are_frozen():
     p = ProcessParams(1, 1, 10, 5, 0.5)
     with pytest.raises(AttributeError):
         p.birth_rate = 2.0
+
+
+_PURE_BIRTH = ProcessParams(1, 0, 5, 1, 0.6)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: mean(_PURE_BIRTH, t),
+        lambda t: fractional_values_at(_PURE_BIRTH, t, 10, np.random.default_rng(0)),
+        lambda t: pure_birth_states_at(_PURE_BIRTH, t, 10, np.random.default_rng(0)),
+        lambda t: inverse_subordinator_sample(0.6, t, np.random.default_rng(0), size=10),
+    ],
+    ids=["mean", "fractional_values_at", "pure_birth_states_at", "inverse_subordinator_sample"],
+)
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_time_check_is_shared(call, t):
+    # analytics and the samplers refuse the same times with the same message
+    with pytest.raises(ValueError, match="t must be finite and >= 0"):
+        call(t)

@@ -317,6 +317,16 @@ def test_ml_waiting_time_heavy_tail_growing_mean():
     assert grew >= 17
 
 
+def test_ml_waiting_time_tiny_rate_gives_infinite_sojourns():
+    # rate**(-1/nu) = 1e500 is beyond the float range
+    draws = ml_waiting_time(0.02, 1e-10, rng_for(22), size=1000)
+    assert not np.isnan(draws).any()
+    assert np.isinf(draws).mean() > 0.99
+    assert ml_waiting_time(0.02, 1e-10, rng_for(22)) == math.inf
+    states = pure_birth_states_at(ProcessParams(1e-10, 0, 5, 1, 0.02), 1.0, 10, rng_for(23))
+    assert np.array_equal(states, np.ones(10, dtype=np.int64))
+
+
 def test_ml_waiting_time_validates():
     with pytest.raises(ValueError):
         ml_waiting_time(0.0, 1.0, rng_for(0))
