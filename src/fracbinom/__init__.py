@@ -26,7 +26,6 @@ from .sampler import (
     fractional_values_at,
     inverse_subordinator_sample,
     ml_waiting_time,
-    pure_birth_path_direct,
     stable_subordinator_unit,
 )
 
@@ -57,7 +56,6 @@ __all__ = [
     "ml_waiting_time",
     "pgf",
     "pmf",
-    "pure_birth_path_direct",
     "pure_birth_pmf",
     "second_factorial_moment",
     "variance",

@@ -5,11 +5,14 @@ subordinator, whose value at time t is V = t**order X with X = S**-order for
 a unit stable draw S.  Given V every slot relaxes on its own, so the
 population is Bin(M, p + q Z) + Bin(N - M, p (1 - Z)) with
 Z = exp(-(birth+death) V): state probabilities are a mixture with no
-negative terms.  `pmf`, `pure_birth_pmf` and `extinction_probability`
-average that law over one cached positive quadrature rule for X, built from
-Kanter's representation of S; at order 1 the rule is the single atom X = 1.
-`pmf` first reduces the rule to a Gauss rule in Z with ceil((N+1)/2) nodes,
-which is exact for the degree-N polynomial the conditional law is in Z.
+negative terms.  Every distribution quantity here averages that law over one
+cached positive quadrature rule for X, built from Kanter's representation of
+S; at order 1 the rule is the single atom X = 1, which gives the classical
+chain.  `pmf` first reduces the rule to a Gauss rule in Z with
+ceil((N+1)/2) nodes, which is exact for the degree-N polynomial the
+conditional law is in Z; `pgf` and `extinction_probability` read the
+conditional generating function, a product of one factor per slot, at every
+atom; `equilibrium_pmf` is the law at Z = 0.
 
 Moments reduce to Mittag-Leffler relaxation values
 E_{order,1}(-k (birth+death) t**order), k = 1, 2.
@@ -19,8 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,8 +44,8 @@ __all__ = [
     "waiting_time_density",
 ]
 
-# Tolerated roundoff on probability vectors; anything worse is treated as a
-# formula/accuracy failure rather than silently clamped.
+# Tolerated roundoff on the total of a probability vector; anything worse is
+# an accuracy failure.
 EPS_NUM = 1e-9
 
 
@@ -55,9 +57,7 @@ class AccuracyError(ArithmeticError):
 class Pmf:
     """Distribution of the population at a fixed time.
 
-    probs[n] = P(population == n), n = 0..ceiling.  Roundoff-level negative
-    entries are clamped and the vector renormalized; both corrections are
-    bounded by EPS_NUM or construction fails.
+    probs[n] = P(population == n), n = 0..ceiling.
     """
 
     t: float
@@ -71,28 +71,17 @@ class Pmf:
         return len(self.probs)
 
 
-def _finalize_pmf(t, raw, context):
+def _finalize_pmf(t, raw):
+    """The mixture's entries, renormalized; AccuracyError unless every one is
+    >= 0 and they sum to 1 within EPS_NUM (a NaN fails both)."""
     raw = np.asarray(raw, dtype=float)
-    worst = raw.min()
-    if worst < -EPS_NUM:
+    worst, total = raw.min(), raw.sum()
+    if not (worst >= 0.0 and abs(total - 1.0) <= EPS_NUM):
         raise AccuracyError(
-            f"{context}: probability entry {worst:.3e} below -{EPS_NUM}; "
-            "cancellation exceeded the supported accuracy"
+            f"pmf(t={t}): smallest entry {worst:.3e}, total {total!r}; "
+            f"expected entries >= 0 summing to 1 within {EPS_NUM}"
         )
-    clamped = int((raw < 0.0).sum())
-    if clamped:
-        warnings.warn(
-            f"{context}: clamped {clamped} entries in [-{EPS_NUM}, 0) to zero",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    out = np.where(raw < 0.0, 0.0, raw)
-    total = out.sum()
-    if abs(total - 1.0) > EPS_NUM:
-        raise AccuracyError(
-            f"{context}: probabilities sum to {total!r}, off by {total-1.0:.3e} (> {EPS_NUM})"
-        )
-    return Pmf(t=float(t), probs=out / total)
+    return Pmf(t=float(t), probs=raw / total)
 
 
 # ---------------------------------------------------------------------------
@@ -186,33 +175,6 @@ def _binomial_rows(n, success, failure):
     return np.exp(log_choose + xlogy(k, success[:, None]) + xlogy(n - k, failure[:, None]))
 
 
-def _mixture_pmf(params, t, context):
-    """The two-binomial law averaged over a Gauss rule in Z (or in 1 - Z)."""
-    decay, growth, weight = _relaxed_atoms(params, t)
-    count = params.ceiling // 2 + 1
-    if len(weight) > count:
-        # the smaller of Z and 1 - Z keeps its relative accuracy at the nodes
-        if weight @ growth < 0.5:
-            growth, weight = _gauss_rule(growth, weight, count)
-            decay = 1.0 - growth
-        else:
-            decay, weight = _gauss_rule(decay, weight, count)
-            growth = 1.0 - decay
-    p = equilibrium_p(params)
-    stay, fill = _occupancy(p, decay, growth)
-    vacant, leave = _occupancy(1.0 - p, decay, growth)
-    n_cap, m0 = params.ceiling, params.initial
-    kept = _binomial_rows(m0, stay, leave)
-    gained = _binomial_rows(n_cap - m0, fill, vacant)
-    joint = kept.T @ (weight[:, None] * gained)
-    # probs[n] sums joint[k, n - k]: padding each row by one and reading the
-    # block with rows one shorter shifts row k right by k
-    skew = np.zeros((m0 + 1, n_cap + 2))
-    skew[:, : n_cap - m0 + 1] = joint
-    probs = skew.ravel()[: (m0 + 1) * (n_cap + 1)].reshape(m0 + 1, n_cap + 1).sum(axis=0)
-    return _finalize_pmf(t, probs, context)
-
-
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
@@ -281,14 +243,34 @@ def extinction_probability(params: ProcessParams, t: float) -> float:
 def pmf(params: ProcessParams, t: float) -> Pmf:
     """Distribution of the population at time t over states 0..ceiling.
 
-    A mixture of two-binomial laws with nonnegative weights (see the module
-    docstring): nothing cancels, and the ceiling has no limit.  The
-    pure-birth regime dispatches to pure_birth_pmf.
+    The two-binomial law averaged over a Gauss rule in Z (or in 1 - Z), with
+    nonnegative weights (see the module docstring): nothing cancels, and the
+    ceiling has no limit.
     """
     t = _check_time(t)
-    if classify(params) is Regime.PURE_BIRTH:
-        return pure_birth_pmf(params, t)
-    return _mixture_pmf(params, t, f"pmf(t={t})")
+    decay, growth, weight = _relaxed_atoms(params, t)
+    count = params.ceiling // 2 + 1
+    if len(weight) > count:
+        # the smaller of Z and 1 - Z keeps its relative accuracy at the nodes
+        if weight @ growth < 0.5:
+            growth, weight = _gauss_rule(growth, weight, count)
+            decay = 1.0 - growth
+        else:
+            decay, weight = _gauss_rule(decay, weight, count)
+            growth = 1.0 - decay
+    p = equilibrium_p(params)
+    stay, fill = _occupancy(p, decay, growth)
+    vacant, leave = _occupancy(1.0 - p, decay, growth)
+    n_cap, m0 = params.ceiling, params.initial
+    kept = _binomial_rows(m0, stay, leave)
+    gained = _binomial_rows(n_cap - m0, fill, vacant)
+    joint = kept.T @ (weight[:, None] * gained)
+    # probs[n] sums joint[k, n - k]: padding each row by one and reading the
+    # block with rows one shorter shifts row k right by k
+    skew = np.zeros((m0 + 1, n_cap + 2))
+    skew[:, : n_cap - m0 + 1] = joint
+    probs = skew.ravel()[: (m0 + 1) * (n_cap + 1)].reshape(m0 + 1, n_cap + 1).sum(axis=0)
+    return _finalize_pmf(t, probs)
 
 
 def pure_birth_pmf(params: ProcessParams, t: float) -> Pmf:
@@ -298,24 +280,13 @@ def pure_birth_pmf(params: ProcessParams, t: float) -> Pmf:
     """
     if classify(params) is not Regime.PURE_BIRTH:
         raise ValueError("pure_birth_pmf requires death_rate == 0")
-    t = _check_time(t)
-    return _mixture_pmf(params, t, f"pure_birth_pmf(t={t})")
+    return pmf(params, t)
 
 
 def equilibrium_pmf(params: ProcessParams) -> Pmf:
     """Long-run binomial distribution over 0..ceiling."""
-    n_cap = params.ceiling
     p = equilibrium_p(params)
-    probs = np.zeros(n_cap + 1)
-    if p == 0.0:
-        probs[0] = 1.0
-    elif p == 1.0:
-        probs[n_cap] = 1.0
-    else:
-        from scipy.special import gammaln  # see _binomial_rows
-        n = np.arange(n_cap + 1)
-        log_c = gammaln(n_cap + 1) - gammaln(n + 1) - gammaln(n_cap - n + 1)
-        probs = np.exp(log_c + n * math.log(p) + (n_cap - n) * math.log1p(-p))
+    probs = _binomial_rows(params.ceiling, np.array([p]), np.array([1.0 - p]))[0]
     return Pmf(t=math.inf, probs=probs / probs.sum())
 
 
@@ -333,22 +304,23 @@ def _check_u(u):
 
 def classical_pgf(params: ProcessParams, u: float, t: float) -> float:
     """Transform sum_n (1-u)^n p_n(t) of the classical (order=1) chain."""
-    u = _check_u(u)
-    t = _check_time(t)
-    p = equilibrium_p(params)
-    decay = math.exp(-params.total_rate * t)
-    grown = (1.0 - decay) * p
-    vacancy = 1.0 - grown * u
-    occupied = 1.0 - (grown + decay) * u
-    return vacancy ** (params.ceiling - params.initial) * occupied**params.initial
+    return pgf(replace(params, order=1.0), u, t)
 
 
 def pgf(params: ProcessParams, u: float, t: float) -> float:
-    """Transform sum_n (1-u)^n p_n(t) of the fractional process."""
+    """Transform sum_n (1-u)^n p_n(t) of the fractional process.
+
+    Given Z each slot contributes one factor, (1-u) + u P(vacant at t), so
+    the transform is the rule's average of their product; u = 1 gives
+    extinction_probability.
+    """
     u = _check_u(u)
-    dist = pmf(params, t)
+    t = _check_time(t)
+    decay, growth, weight = _relaxed_atoms(params, t)
+    vacant, leave = _occupancy(1.0 - equilibrium_p(params), decay, growth)
+    n_cap, m0 = params.ceiling, params.initial
     base = 1.0 - u
-    return float(np.polynomial.polynomial.polyval(base, dist.probs))
+    return float(weight @ ((base + u * leave) ** m0 * (base + u * vacant) ** (n_cap - m0)))
 
 
 def waiting_time_density(params: ProcessParams, j: int, s: float) -> float:

@@ -253,9 +253,6 @@ def cmd_validate(args) -> int:
             ok, detail = check()
         except Exception as exc:  # pragma: no cover - defensive
             ok, detail = False, f"raised {exc!r}"
-        if args.force_fail:
-            ok = False
-            detail += " [forced failure]"
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failures += 0 if ok else 1
     print(f"{failures} failure(s)")
@@ -336,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run oracle cross-checks")
     p.add_argument("--suite", choices=("quick", "full"), default="full",
                    help="quick skips the Monte Carlo checks")
-    p.add_argument("--force-fail", action="store_true",
-                   help="self-test flag: report every check as failed")
     p.set_defaults(func=cmd_validate)
 
     return parser

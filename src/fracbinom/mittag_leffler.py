@@ -28,9 +28,9 @@ nodes.  An evaluation is then a few vector operations and one exactly
 rounded sum.  Gamma values come from the standard library, so this module
 needs numpy only.
 
-alpha == 1 bypasses all of this: beta == 1 is exp(z) and general beta is
-summed through the Kummer-transformed confluent series, which has only
-positive terms.
+alpha == 1 bypasses all of this: beta == 1 is exp(z) at every z, and
+general beta is summed through the Kummer-transformed confluent series,
+which has only positive terms, or by the asymptotic series from u = 36 on.
 """
 
 from __future__ import annotations
@@ -91,7 +91,9 @@ def ml(alpha: float, beta: float, z: float) -> float:
     if x == 0.0:
         return _rgamma(beta)
     if alpha == 1.0:
-        if x >= _ASYMP_MIN_U:
+        # beta == 1 is exp(-x) everywhere: past u = 36 every asymptotic term
+        # sits on a pole of Gamma and the series would sum to 0
+        if beta != 1.0 and x >= _ASYMP_MIN_U:
             value, _ = _asymptotic(alpha, beta, x)
             return value
         return _exp_regime(beta, x)

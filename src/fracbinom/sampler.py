@@ -34,7 +34,6 @@ __all__ = [
     "fractional_values_at",
     "fractional_path",
     "ml_waiting_time",
-    "pure_birth_path_direct",
     "pure_birth_states_at",
     "ensemble",
 ]
@@ -44,6 +43,9 @@ RngSeed = int
 
 # Path sojourns and direction uniforms are drawn this many at a time.
 _BLOCK = 128
+
+# `ensemble` draws this many marginals per child stream.
+_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -222,13 +224,6 @@ def ml_waiting_time(nu, rate, rng, size=None):
     return float(out) if size is None else out
 
 
-def pure_birth_path_direct(params: ProcessParams, horizon, rng) -> Path:
-    """Renewal construction of the pure-birth regime: one ML sojourn per level."""
-    if classify(params) is not Regime.PURE_BIRTH:
-        raise ValueError("pure_birth_path_direct requires death_rate == 0")
-    return _jump_path(params, params.order, horizon, rng)
-
-
 def pure_birth_states_at(params: ProcessParams, t, size, rng):
     """Vectorized marginal of the direct pure-birth construction at time t."""
     if classify(params) is not Regime.PURE_BIRTH:
@@ -248,7 +243,6 @@ def ensemble(
     t_grid,
     n_paths: int,
     seed: RngSeed,
-    chunk_size: int = 2048,
 ) -> EnsembleStats:
     """Marginal mean/variance estimates at each grid time from n_paths draws.
 
@@ -263,9 +257,9 @@ def ensemble(
     n_paths = int(n_paths)
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
-    sizes = [chunk_size] * (n_paths // chunk_size)
-    if n_paths % chunk_size:
-        sizes.append(n_paths % chunk_size)
+    sizes = [_CHUNK] * (n_paths // _CHUNK)
+    if n_paths % _CHUNK:
+        sizes.append(n_paths % _CHUNK)
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
     values = np.empty((n_paths, len(t_grid)), dtype=np.int64)
     row = 0

@@ -299,15 +299,14 @@ def test_pmf_matches_exact_alternating_sum(base, u_max, order):
 
 
 def test_pmf_finalization_guards():
-    # roundoff-scale negatives are clamped with a warning; anything larger is
-    # an accuracy failure, as is a broken normalization
-    with pytest.warns(RuntimeWarning):
-        fixed = _finalize_pmf(1.0, np.array([0.5, 0.5, -1e-10]), "test")
-    assert fixed.probs[2] == 0.0
-    with pytest.raises(AccuracyError):
-        _finalize_pmf(1.0, np.array([0.5, 0.5, -1e-6]), "test")
-    with pytest.raises(AccuracyError):
-        _finalize_pmf(1.0, np.array([0.4, 0.4]), "test")
+    # the mixture has no negative terms, so any negative entry, a broken
+    # normalization or a NaN is an accuracy failure; roundoff in the total
+    # is renormalized away
+    for raw in ([0.5, 0.5, -1e-10], [0.5, 0.5, -1e-6], [0.4, 0.4], [0.5, math.nan, 0.5]):
+        with pytest.raises(AccuracyError):
+            _finalize_pmf(1.0, np.array(raw))
+    fixed = _finalize_pmf(1.0, np.array([0.5, 0.5 + 1e-12]))
+    assert fixed.probs.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +413,37 @@ def test_classical_pgf_long_time():
 
 
 def test_pgf_matches_classical_at_order_one():
-    p = ProcessParams(1, 2, 15, 6, 1.0)
-    for u in (0.0, 0.35, 1.0, 1.6):
+    # classical_pgf is pgf at order 1, so both are checked against the
+    # master equation
+    for order in (1.0, 0.6):
+        p = ProcessParams(1, 2, 15, 6, order)
         for t in (0.2, 1.0, 5.0):
-            assert pgf(p, u, t) == pytest.approx(classical_pgf(p, u, t), abs=1e-7)
+            ode = master_equation_classical(p, t, method="expm").probs
+            for u in (0.0, 0.35, 1.0, 1.6):
+                want = np.polynomial.polynomial.polyval(1.0 - u, ode)
+                assert classical_pgf(p, u, t) == pytest.approx(want, abs=1e-13)
+                if order == 1.0:
+                    assert pgf(p, u, t) == pytest.approx(want, abs=1e-13)
 
 
 def test_pgf_edge_values():
     p = ProcessParams(1, 2, 15, 6, 0.7)
-    assert pgf(p, 0.0, 2.0) == pytest.approx(1.0, abs=1e-9)
-    assert pgf(p, 1.0, 2.0) == pytest.approx(extinction_probability(p, 2.0), abs=1e-9)
+    assert pgf(p, 0.0, 2.0) == pytest.approx(1.0, abs=1e-14)
+    for params in (p, ProcessParams(0.5, 1.5, 100, 90, 0.8), ProcessParams(0, 1, 10, 3, 1.0)):
+        for t in (0.0, 0.01, 2.0, 1e3):
+            assert pgf(params, 1.0, t) == extinction_probability(params, t)
+
+
+@pytest.mark.parametrize(
+    "args", [(1, 2, 15, 6, 0.7), (1, 0, 20, 5, 0.8), (0.4, 1.1, 60, 50, 0.35), (2, 1, 9, 1, 1.0)]
+)
+def test_pgf_matches_pmf_transform(args):
+    params = ProcessParams(*args)
+    for t in (0.05, 1.0, 30.0):
+        probs = pmf(params, t).probs
+        for u in (0.0, 0.3, 1.0, 1.5, 2.0):
+            want = np.polynomial.polynomial.polyval(1.0 - u, probs)
+            assert abs(pgf(params, u, t) - want) <= 1e-13
 
 
 def test_pgf_rejects_out_of_range_u():

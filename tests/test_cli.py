@@ -249,8 +249,15 @@ def test_validate_quick_suite_passes():
     assert main(["validate", "--suite", "quick"]) == 0
 
 
-def test_validate_forced_failure_exits_nonzero():
-    assert main(["validate", "--suite", "quick", "--force-fail"]) == 4
+def test_validate_forced_failure_exits_nonzero(monkeypatch, capsys):
+    from fracbinom import cli
+
+    def one_failing_check(suite):
+        yield "synthetic", lambda: (False, "forced")
+
+    monkeypatch.setattr(cli, "_validation_checks", one_failing_check)
+    assert main(["validate", "--suite", "quick"]) == 4
+    assert "FAIL synthetic: forced" in capsys.readouterr().out.splitlines()
 
 
 def test_module_entrypoint_help():

@@ -65,6 +65,13 @@ def test_classical_limit_matches_exp():
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("x", [36.0, 40.0, 100.0, 700.0])
+def test_classical_exponential_keeps_relative_accuracy(x):
+    # from x = 36 on lies the asymptotic regime, each of whose terms is 0 at
+    # alpha = beta = 1
+    assert ml(1.0, 1.0, -x) == pytest.approx(math.exp(-x), rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("nu", [0.4, 0.6, 0.8, 0.99])
 @pytest.mark.parametrize("t", [0.3, 1.0, 4.0])
 def test_second_parameter_shift_identity(nu, t):
