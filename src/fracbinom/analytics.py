@@ -145,34 +145,59 @@ def _gauss_rule(values, weights, count):
 
     Stieltjes' procedure, in its orthonormal (Lanczos) form, gives the
     Jacobi matrix of the discrete measure; its eigenvalues are the nodes and
-    the squared first components of its eigenvectors the weights.  It stops
-    early once the atoms are spent to rounding (all at one point, say).
+    the squared first components of its eigenvectors the weights, which
+    therefore sum to 1 to rounding.  It stops early once the atoms are spent
+    to rounding (all at one point, say).
     """
-    # imported here: only `pmf` needs scipy.linalg, which costs ~5 MB, 0.06 s
-    from scipy.linalg import eigh_tridiagonal
     diag, off = [], []
-    vec, prev, beta = np.sqrt(weights), 0.0, 0.0
+    # three buffers rotate; prev also holds beta * prev and then alpha * vec
+    vec, prev, nxt = np.sqrt(weights), np.zeros_like(weights), np.empty_like(weights)
+    beta = 0.0
     for _ in range(count):
-        nxt = values * vec
+        np.multiply(values, vec, out=nxt)
         alpha = nxt @ vec
-        nxt -= alpha * vec + beta * prev
+        prev *= beta
+        nxt -= prev
+        np.multiply(vec, alpha, out=prev)
+        nxt -= prev
         diag.append(alpha)
         beta = math.sqrt(nxt @ nxt)
         if beta <= _EXHAUSTED:
             break
         off.append(beta)
-        prev, vec = vec, nxt / beta
-    nodes, vecs = eigh_tridiagonal(np.array(diag), np.array(off[: len(diag) - 1]))
+        nxt /= beta
+        prev, vec, nxt = vec, nxt, prev
+    size = len(diag)
+    jacobi = np.diag(diag)
+    jacobi[np.arange(1, size), np.arange(size - 1)] = off[: size - 1]
+    nodes, vecs = np.linalg.eigh(jacobi)  # reads the lower triangle
     return np.clip(nodes, 0.0, 1.0), vecs[0] ** 2
+
+
+@functools.lru_cache(maxsize=16)
+def _log_factorials(bits):
+    """log k! for k < 2**bits, one table for every n of that bit length: the
+    log of the exact factorial up to 170!, the largest that is a finite
+    double, and lgamma above."""
+    table = np.array(
+        [math.log(float(math.factorial(k))) if k <= 170 else math.lgamma(k + 1.0)
+         for k in range(1 << bits)]
+    )
+    table.setflags(write=False)
+    return table
 
 
 def _binomial_rows(n, success, failure):
     """Bin(n, .) probabilities of 0..n, one row per node, in log space (0 log 0 = 0)."""
-    # imported here, as in _gauss_rule: scipy.special costs an importer ~26 MB, 0.3 s
-    from scipy.special import gammaln, xlogy
+    log_fact = _log_factorials(n.bit_length())[: n + 1]
     k = np.arange(n + 1)
-    log_choose = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-    return np.exp(log_choose + xlogy(k, success[:, None]) + xlogy(n - k, failure[:, None]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = k * np.log(success)[:, None]
+        rest = (n - k) * np.log(failure)[:, None]
+    rows[:, 0] = rest[:, n] = 0.0  # 0 log 0, NaN above where a probability is 0
+    rows += log_fact[n] - log_fact - log_fact[::-1]
+    rows += rest
+    return np.exp(rows, out=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +289,8 @@ def pmf(params: ProcessParams, t: float) -> Pmf:
     n_cap, m0 = params.ceiling, params.initial
     kept = _binomial_rows(m0, stay, leave)
     gained = _binomial_rows(n_cap - m0, fill, vacant)
-    joint = kept.T @ (weight[:, None] * gained)
+    gained *= weight[:, None]
+    joint = kept.T @ gained
     # probs[n] sums joint[k, n - k]: padding each row by one and reading the
     # block with rows one shorter shifts row k right by k
     skew = np.zeros((m0 + 1, n_cap + 2))

@@ -309,6 +309,76 @@ def test_pmf_finalization_guards():
     assert fixed.probs.sum() == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "args,t",
+    [
+        ((1.0, 1.0, 300, 120, 0.6), 0.7),
+        ((1.0, 2.0, 1000, 400, 0.7), 1.0),
+        ((0.5, 2.0, 1000, 900, 0.3), 1e-3),
+        # Christoffel numbers from the forward recurrence lose 2e-9 of the
+        # mass here, past the peaks of the eigenvectors
+        ((0.7, 0.25, 1000, 214, 0.95), 1e6),
+    ],
+)
+def test_pmf_above_exact_factorials(args, t):
+    # log k! comes from lgamma above k = 170
+    params = ProcessParams(*args)
+    probs = pmf(params, t).probs
+    assert probs.min() >= 0.0
+    assert abs(probs.sum() - 1.0) <= 1e-12
+    _assert_matches_moments(params, t, probs)
+
+
+# ---------------------------------------------------------------------------
+# Gauss rule in Z
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "order,t,reduced",
+    [
+        (0.05, 1e-12, "growth"),
+        (0.05, 1e3, "decay"),
+        (0.3, 1e-3, "growth"),
+        (0.3, 20.0, "decay"),
+        (0.7, 0.1, "growth"),
+        (0.7, 5.0, "decay"),
+        (0.999, 0.1, "growth"),
+        (0.999, 1.0, "decay"),
+    ],
+)
+def test_gauss_rule_matches_atom_moments(order, t, reduced):
+    # pmf reduces Z (decay), or 1 - Z (growth) where that is the smaller,
+    # and the rule must integrate every power up to 2 count - 1 as the
+    # atoms do
+    params = ProcessParams(1.0, 2.0, 40, 15, order)
+    decay, growth, weight = analytics._relaxed_atoms(params, t)
+    assert (weight @ growth < 0.5) == (reduced == "growth")
+    values = growth if reduced == "growth" else decay
+    count = 21
+    nodes, rule = analytics._gauss_rule(values, weight, count)
+    assert len(nodes) == count
+    for k in range(2 * count):
+        assert abs(rule @ nodes**k - weight @ values**k) <= 1e-13
+
+
+def test_gauss_rule_stops_when_atoms_are_spent():
+    # at t = 1e-14 every 1 - Z lies within 4e-14 of 0: one node is all the
+    # atoms can give
+    params = ProcessParams(1.0, 2.0, 40, 15, 0.999)
+    _, growth, weight = analytics._relaxed_atoms(params, 1e-14)
+    nodes, rule = analytics._gauss_rule(growth, weight, 21)
+    assert len(nodes) == 1
+    assert abs(rule.sum() - 1.0) <= 1e-15
+    assert nodes[0] == pytest.approx(weight @ growth, rel=1e-12, abs=0.0)
+    # atoms at two points give those points and their masses
+    values = np.array([0.2, 0.7, 0.2, 0.7, 0.2])
+    masses = np.array([0.1, 0.3, 0.25, 0.05, 0.3])
+    nodes, rule = analytics._gauss_rule(values, masses, 21)
+    assert np.allclose(nodes, [0.2, 0.7], rtol=0.0, atol=1e-15)
+    assert np.allclose(rule, [0.65, 0.35], rtol=0.0, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # pure birth pmf
 # ---------------------------------------------------------------------------
@@ -391,7 +461,7 @@ def test_extinction_far_from_equilibrium_is_relatively_exact(t):
     with mp.workdps(30):
         e = mp.exp(-2 * mp.mpf(t))
         want = float((0.75 * (1 - e)) ** 90 * (0.75 + 0.25 * e) ** 10)
-    assert extinction_probability(params, t) == pytest.approx(want, rel=1e-12)
+    assert extinction_probability(params, t) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +542,20 @@ def test_equilibrium_pmf_degenerate_cases():
 
 def test_equilibrium_pmf_extreme_entry():
     dist = equilibrium_pmf(ProcessParams(1, 1, 100, 40, 1.0))
-    assert float(dist.probs[0]) == pytest.approx(2.0**-100, rel=1e-10)
+    assert float(dist.probs[0]) == pytest.approx(2.0**-100, rel=1e-10, abs=0.0)
+
+
+def test_equilibrium_pmf_above_exact_factorials_matches_mpmath():
+    # log k! comes from lgamma above k = 170; the entries below 1e-300 are
+    # subnormal or 0
+    params = ProcessParams(0.37, 0.63, 1000, 1, 1.0)
+    probs = equilibrium_pmf(params).probs
+    with mp.workdps(40):
+        p = mp.mpf(0.37)
+        want = [float(mp.binomial(1000, k) * p**k * (1 - p) ** (1000 - k)) for k in range(1001)]
+    for k, w in enumerate(want):
+        if w > 1e-300:
+            assert abs(probs[k] - w) <= 1e-11 * w, k
 
 
 # ---------------------------------------------------------------------------

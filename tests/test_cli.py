@@ -278,3 +278,19 @@ def test_import_leaves_validation_stack_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "[]"]
+
+
+def test_distribution_calls_leave_scipy_unloaded():
+    # the state probabilities need numpy only; scipy serves the reference
+    # oracles alone
+    code = (
+        "import sys\n"
+        "from fracbinom import ProcessParams, analytics as a\n"
+        "p, birth = ProcessParams(1, 2, 40, 15, 0.7), ProcessParams(1, 0, 20, 5, 0.8)\n"
+        "a.pmf(p, 1.0); a.pmf(p, 1e-3); a.pure_birth_pmf(birth, 0.5)\n"
+        "a.equilibrium_pmf(p); a.pgf(p, 0.4, 1.0); a.extinction_probability(p, 2.0)\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
