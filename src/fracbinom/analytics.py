@@ -10,9 +10,9 @@ cached positive quadrature rule for X, built from Kanter's representation of
 S; at order 1 the rule is the single atom X = 1, which gives the classical
 chain.  `pmf` first reduces the rule to a Gauss rule in Z with
 ceil((N+1)/2) nodes, which is exact for the degree-N polynomial the
-conditional law is in Z; `pgf` and `extinction_probability` read the
-conditional generating function, a product of one factor per slot, at every
-atom; `equilibrium_pmf` is the law at Z = 0.
+conditional law is in Z; `pgf` reads the conditional generating function,
+a product of one factor per slot, at every atom, and `extinction_probability`
+is `pgf` at u = 1; `equilibrium_pmf` is the law at Z = 0.
 
 Moments reduce to Mittag-Leffler relaxation values
 E_{order,1}(-k (birth+death) t**order), k = 1, 2.
@@ -254,15 +254,11 @@ def variance(params: ProcessParams, t: float) -> float:
 def extinction_probability(params: ProcessParams, t: float) -> float:
     """P(population == 0 at time t); exactly 0 for the pure-birth regime.
 
-    The n = 0 term of the mixture, (q (1-Z))**M (q + p Z)**(N-M), summed over
-    every atom of the rule for X, so that it stays accurate relative to its
-    own size however small it is.
+    `pgf` at u = 1, capped at 1: the rule's average of the n = 0 term
+    (q (1-Z))**M (q + p Z)**(N-M), which stays accurate relative to its own
+    size however small it is.
     """
-    t = _check_time(t)
-    decay, growth, weight = _relaxed_atoms(params, t)
-    vacant, leave = _occupancy(1.0 - equilibrium_p(params), decay, growth)
-    n_cap, m0 = params.ceiling, params.initial
-    return min(1.0, float(weight @ (leave**m0 * vacant ** (n_cap - m0))))
+    return min(1.0, pgf(params, 1.0, t))
 
 
 def pmf(params: ProcessParams, t: float) -> Pmf:

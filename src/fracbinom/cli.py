@@ -23,8 +23,7 @@ import sys
 import numpy as np
 
 from . import analytics, reference, sampler
-from .analytics import AccuracyError
-from .mittag_leffler import ConvergenceError, ml_one
+from .mittag_leffler import ml_one
 from .model import ProcessParams, _check_time
 
 EXIT_OK = 0
@@ -150,6 +149,8 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = _params_from(args)
+    if args.paths < 1:
+        raise ValueError(f"--paths must be >= 1, got {args.paths}")
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
     rows = []
@@ -179,7 +180,7 @@ def cmd_ensemble(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _validation_checks(suite: str):
+def _validation_checks():
     """Yield (name, callable) pairs; each callable returns (ok, detail)."""
 
     def ml_vs_series():
@@ -219,36 +220,33 @@ def _validation_checks(suite: str):
         ok = dists[0] > dists[1] > dists[2]
         return ok, f"sup distances {dists[0]:.2e} > {dists[1]:.2e} > {dists[2]:.2e}"
 
+    def subordination_cross_check():
+        params = ProcessParams(1, 2, 12, 5, 0.7)
+        t = 1.0
+        mc = reference.subordination_pmf_mc(params, t, 20_000, seed=20260810)
+        dist = analytics.pmf(params, t)
+        resid = np.abs(dist.probs - mc.probs) / np.maximum(mc.se, 1e-12)
+        return float(resid.max()) <= 5.0, f"max |diff|/se = {resid.max():.2f}"
+
+    def mc_mean_vs_formula():
+        params = ProcessParams(1, 1, 40, 10, 0.8)
+        stats = sampler.ensemble(params, [0.5, 2.0], 4000, seed=77)
+        worst = 0.0
+        for t, m, se in zip(stats.t_grid, stats.mean_est, stats.se_mean):
+            worst = max(worst, abs(m - analytics.mean(params, float(t))) / se)
+        return worst <= 5.0, f"max |diff|/se = {worst:.2f}"
+
     yield "mittag_leffler_vs_highprec_series", ml_vs_series
     yield "classical_pmf_vs_master_equation", classical_pmf_vs_ode
     yield "extinction_consistency", extinction_matches_pmf
     yield "equilibrium_monotone_approach", equilibrium_approach
-
-    if suite == "full":
-
-        def subordination_cross_check():
-            params = ProcessParams(1, 2, 12, 5, 0.7)
-            t = 1.0
-            mc = reference.subordination_pmf_mc(params, t, 20_000, seed=20260810)
-            dist = analytics.pmf(params, t)
-            resid = np.abs(dist.probs - mc.probs) / np.maximum(mc.se, 1e-12)
-            return float(resid.max()) <= 5.0, f"max |diff|/se = {resid.max():.2f}"
-
-        def mc_mean_vs_formula():
-            params = ProcessParams(1, 1, 40, 10, 0.8)
-            stats = sampler.ensemble(params, [0.5, 2.0], 4000, seed=77)
-            worst = 0.0
-            for t, m, se in zip(stats.t_grid, stats.mean_est, stats.se_mean):
-                worst = max(worst, abs(m - analytics.mean(params, float(t))) / se)
-            return worst <= 5.0, f"max |diff|/se = {worst:.2f}"
-
-        yield "subordination_mc_vs_state_formula", subordination_cross_check
-        yield "ensemble_mean_vs_formula", mc_mean_vs_formula
+    yield "subordination_mc_vs_state_formula", subordination_cross_check
+    yield "ensemble_mean_vs_formula", mc_mean_vs_formula
 
 
 def cmd_validate(args) -> int:
     failures = 0
-    for name, check in _validation_checks(args.suite):
+    for name, check in _validation_checks():
         try:
             ok, detail = check()
         except Exception as exc:  # pragma: no cover - defensive
@@ -331,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("validate", help="run oracle cross-checks")
-    p.add_argument("--suite", choices=("quick", "full"), default="full",
-                   help="quick skips the Monte Carlo checks")
     p.set_defaults(func=cmd_validate)
 
     return parser
@@ -343,10 +339,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError,) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (AccuracyError, ConvergenceError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # AccuracyError, ConvergenceError among them
         print(f"accuracy error: {exc}", file=sys.stderr)
         return EXIT_ACCURACY
 

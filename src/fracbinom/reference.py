@@ -3,9 +3,10 @@
 Nothing in this module may import the mittag_leffler or analytics modules:
 agreement between the main formulas and these reference routes is the
 package's primary correctness evidence, so the two sides have to stay
-algorithmically disjoint.  The classical master equation is integrated
-numerically (adaptive Dormand-Prince, cross-checkable against a
-scaling-and-squaring matrix exponential), the Mittag-Leffler series is
+algorithmically disjoint.  The classical master equation is solved
+numerically (a scaling-and-squaring matrix exponential, cross-checkable
+against adaptive Dormand-Prince, and at many times at once through one
+eigendecomposition of the generator), the Mittag-Leffler series is
 summed in software extended precision, and the fractional state
 probabilities are estimated by direct Monte Carlo over the random time
 change, never through the closed-form Mittag-Leffler expressions.
@@ -97,12 +98,12 @@ def _initial_vector(params: ProcessParams) -> np.ndarray:
     return p0
 
 
-def master_equation_classical(params: ProcessParams, t, method="auto") -> OdeSolution:
+def master_equation_classical(params: ProcessParams, t, method="expm") -> OdeSolution:
     """Solve the classical master equation from the deterministic start.
 
-    method: "dop853" adaptive Runge-Kutta, "expm" scaling-and-squaring matrix
-    exponential, or "auto" (the same as "expm").  The two routes
-    cross-check each other in the test suite.
+    method: "expm" (scaling-and-squaring matrix exponential) or "dop853"
+    (adaptive Runge-Kutta).  The two routes cross-check each other in the
+    test suite.
     """
     t = float(t)
     if t < 0.0 or not math.isfinite(t):
@@ -111,7 +112,7 @@ def master_equation_classical(params: ProcessParams, t, method="auto") -> OdeSol
         return OdeSolution(t=0.0, probs=_initial_vector(params))
     a = generator_matrix(params)
     p0 = _initial_vector(params)
-    if method in ("auto", "expm"):
+    if method == "expm":
         from scipy.linalg import expm
         probs = expm(a * t) @ p0
     elif method == "dop853":

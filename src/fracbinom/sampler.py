@@ -77,9 +77,12 @@ class Path:
         object.__setattr__(self, "horizon", float(self.horizon))
 
     def state_at(self, t):
-        """State of the trajectory at time(s) t (right-continuous)."""
-        idx = np.searchsorted(self.times, np.asarray(t, dtype=float), side="right") - 1
-        return self.states[np.maximum(idx, 0)]
+        """State of the trajectory at time(s) t (right-continuous); a
+        ValueError unless every t lies in [0, horizon]."""
+        t = np.asarray(t, dtype=float)
+        if not np.all((t >= 0.0) & (t <= self.horizon)):
+            raise ValueError(f"t must lie in [0, {self.horizon}], got {t}")
+        return self.states[np.searchsorted(self.times, t, side="right") - 1]
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,8 @@ def inverse_subordinator_sample(nu, t, rng, size=None):
 
 
 def classical_path(params: ProcessParams, horizon, rng) -> Path:
-    """One Gillespie trajectory of the classical chain on [0, horizon]."""
+    """Exact trajectory of the classical chain on [0, horizon]: exponential
+    sojourns and the jumps of the embedded chain (Gillespie's method)."""
     return _jump_path(params, 1.0, horizon, rng)
 
 
@@ -209,7 +213,7 @@ def ml_waiting_time(nu, rate, rng, size=None):
     rate = float(rate)
     if not (0.0 < nu <= 1.0):
         raise ValueError(f"nu must be in (0, 1], got {nu}")
-    if rate <= 0.0:
+    if not (rate > 0.0):
         raise ValueError(f"rate must be positive, got {rate}")
     if nu == 1.0:
         out = rng.exponential(1.0 / rate, size=size)

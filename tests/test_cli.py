@@ -230,6 +230,16 @@ def test_config_error_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("paths", ["0", "-3"])
+def test_simulate_rejects_fewer_than_one_path(tmp_path, paths):
+    code, text = run_cli(
+        "simulate", "--lambda", "1", "--mu", "1", "--N", "10", "--M", "5",
+        "--horizon", "1", "--paths", paths, "--seed", "1", tmp_path=tmp_path,
+    )
+    assert code == 2
+    assert text == ""
+
+
 def test_accuracy_error_exit_code(tmp_path, monkeypatch):
     from fracbinom import cli
     from fracbinom.analytics import AccuracyError
@@ -245,18 +255,27 @@ def test_accuracy_error_exit_code(tmp_path, monkeypatch):
     assert code == 3
 
 
-def test_validate_quick_suite_passes():
-    assert main(["validate", "--suite", "quick"]) == 0
+def test_validate_quick_suite_passes(capsys):
+    assert main(["validate"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("PASS ") for line in lines) == 6
+    assert lines[-1] == "0 failure(s)"
+
+
+def test_validate_has_no_suite_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--suite", "quick"])
+    assert exc.value.code == 2
 
 
 def test_validate_forced_failure_exits_nonzero(monkeypatch, capsys):
     from fracbinom import cli
 
-    def one_failing_check(suite):
+    def one_failing_check():
         yield "synthetic", lambda: (False, "forced")
 
     monkeypatch.setattr(cli, "_validation_checks", one_failing_check)
-    assert main(["validate", "--suite", "quick"]) == 4
+    assert main(["validate"]) == 4
     assert "FAIL synthetic: forced" in capsys.readouterr().out.splitlines()
 
 

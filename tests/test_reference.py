@@ -53,6 +53,13 @@ def test_master_equation_routes_agree():
         assert np.abs(via_expm.probs - via_rk.probs).max() <= 1e-11
 
 
+def test_master_equation_methods():
+    default = master_equation_classical(SMALL, 1.0).probs
+    assert np.array_equal(default, master_equation_classical(SMALL, 1.0, method="expm").probs)
+    with pytest.raises(ValueError):
+        master_equation_classical(SMALL, 1.0, method="auto")
+
+
 def test_master_equation_default_route_at_large_ceiling():
     # the adaptive Runge-Kutta route leaves a -1.2e-12 entry here; the
     # default matrix exponential stays within the negativity tolerance

@@ -144,6 +144,15 @@ def test_classical_path_state_at():
     assert path.state_at(3.0) == path.states[-1]
 
 
+def test_path_state_at_rejects_times_outside_window():
+    path = fractional_path(ProcessParams(1, 1, 10, 5, 0.7), 1.0, rng=rng_for(3))
+    assert path.state_at(0.0) == 5
+    assert path.state_at([0.0, 1.0]).shape == (2,)
+    for t in (5.0, -1.0, math.nan, [0.5, 2.0], 1.0 + 1e-12):
+        with pytest.raises(ValueError):
+            path.state_at(t)
+
+
 def test_classical_mc_mean_matches_formula():
     p = ProcessParams(1, 1, 100, 40, 1.0)
     t = 1.0
@@ -331,6 +340,8 @@ def test_ml_waiting_time_validates():
         ml_waiting_time(0.0, 1.0, rng_for(0))
     with pytest.raises(ValueError):
         ml_waiting_time(0.5, 0.0, rng_for(0))
+    with pytest.raises(ValueError):
+        ml_waiting_time(0.7, math.nan, rng_for(0), size=3)
 
 
 # ---------------------------------------------------------------------------
