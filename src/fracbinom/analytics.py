@@ -104,7 +104,7 @@ _ATOM_FLOOR = 1e-18  # lighter atoms are dropped (~2e-16 of mass in all)
 _EXHAUSTED = 1e-15  # Stieltjes stops when the atoms are spent to rounding
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=2)  # callers use one order at a time
 def _subordination_rule(order):
     """Atoms (x, w) of a positive rule for the law of X = S**-order; sum w = 1."""
     if order == 1.0:
@@ -254,11 +254,12 @@ def variance(params: ProcessParams, t: float) -> float:
 def extinction_probability(params: ProcessParams, t: float) -> float:
     """P(population == 0 at time t); exactly 0 for the pure-birth regime.
 
-    `pgf` at u = 1, capped at 1: the rule's average of the n = 0 term
-    (q (1-Z))**M (q + p Z)**(N-M), which stays accurate relative to its own
-    size however small it is.
+    `pgf` at u = 1: the rule's average of the n = 0 term
+    (q (1-Z))**M (q + p Z)**(N-M), with no cancellation however small it
+    is.  Its relative accuracy is that of the rule's tails, which can be
+    lost far from equilibrium at small t.
     """
-    return min(1.0, pgf(params, 1.0, t))
+    return pgf(params, 1.0, t)
 
 
 def pmf(params: ProcessParams, t: float) -> Pmf:
@@ -334,7 +335,8 @@ def pgf(params: ProcessParams, u: float, t: float) -> float:
 
     Given Z each slot contributes one factor, (1-u) + u P(vacant at t), so
     the transform is the rule's average of their product; u = 1 gives
-    extinction_probability.
+    extinction_probability.  The average is kept in [-1, 1]: the weights
+    sum to 1 only to rounding.
     """
     u = _check_u(u)
     t = _check_time(t)
@@ -342,7 +344,8 @@ def pgf(params: ProcessParams, u: float, t: float) -> float:
     vacant, leave = _occupancy(1.0 - equilibrium_p(params), decay, growth)
     n_cap, m0 = params.ceiling, params.initial
     base = 1.0 - u
-    return float(weight @ ((base + u * leave) ** m0 * (base + u * vacant) ** (n_cap - m0)))
+    value = float(weight @ ((base + u * leave) ** m0 * (base + u * vacant) ** (n_cap - m0)))
+    return min(1.0, max(-1.0, value))
 
 
 def waiting_time_density(params: ProcessParams, j: int, s: float) -> float:

@@ -4,12 +4,12 @@ Nothing in this module may import the mittag_leffler or analytics modules:
 agreement between the main formulas and these reference routes is the
 package's primary correctness evidence, so the two sides have to stay
 algorithmically disjoint.  The classical master equation is solved
-numerically (a scaling-and-squaring matrix exponential, cross-checkable
-against adaptive Dormand-Prince, and at many times at once through one
-eigendecomposition of the generator), the Mittag-Leffler series is
-summed in software extended precision, and the fractional state
-probabilities are estimated by direct Monte Carlo over the random time
-change, never through the closed-form Mittag-Leffler expressions.
+numerically, by a scaling-and-squaring matrix exponential at one time and
+at many times at once through one eigendecomposition of the generator (the
+two routes check each other); the Mittag-Leffler series is summed in
+software extended precision; and the fractional state probabilities are
+estimated by direct Monte Carlo over the random time change, never through
+the closed-form Mittag-Leffler expressions.
 """
 
 from __future__ import annotations
@@ -101,35 +101,21 @@ def _initial_vector(params: ProcessParams) -> np.ndarray:
 def master_equation_classical(params: ProcessParams, t, method="expm") -> OdeSolution:
     """Solve the classical master equation from the deterministic start.
 
-    method: "expm" (scaling-and-squaring matrix exponential) or "dop853"
-    (adaptive Runge-Kutta).  The two routes cross-check each other in the
-    test suite.
+    The probabilities are the scaling-and-squaring matrix exponential of the
+    generator applied to the initial state; method="expm" names that route
+    and is the only value accepted.  `classical_pmf_batch` reaches the same
+    probabilities through an eigendecomposition, and the test suite checks
+    the two against each other.
     """
+    if method != "expm":
+        raise ValueError(f"unknown method {method!r}")
     t = float(t)
     if t < 0.0 or not math.isfinite(t):
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if t == 0.0:
         return OdeSolution(t=0.0, probs=_initial_vector(params))
-    a = generator_matrix(params)
-    p0 = _initial_vector(params)
-    if method == "expm":
-        from scipy.linalg import expm
-        probs = expm(a * t) @ p0
-    elif method == "dop853":
-        from scipy.integrate import solve_ivp
-        result = solve_ivp(
-            lambda _, p: a @ p,
-            (0.0, t),
-            p0,
-            method="DOP853",
-            rtol=1e-12,
-            atol=1e-14,
-        )
-        if not result.success:
-            raise ArithmeticError(f"ODE integration failed: {result.message}")
-        probs = result.y[:, -1]
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    from scipy.linalg import expm
+    probs = expm(generator_matrix(params) * t) @ _initial_vector(params)
     return OdeSolution(t=t, probs=probs)
 
 
@@ -186,15 +172,14 @@ def classical_pmf_batch(params: ProcessParams, ts) -> np.ndarray:
     return probs
 
 
-def ml_series_highprec(alpha, beta, z, digits: int = 30, return_bound: bool = False):
+def ml_series_highprec(alpha, beta, z, digits: int = 30):
     """Mittag-Leffler value from the defining series in extended precision.
 
     The working precision adapts to the cancellation of the alternating
     series (the largest term is ~exp(|z|**(1/alpha))).  Where that would
     exceed the feasible cap the value comes from an extended-precision
     contour integral instead, which in that regime is still independent of
-    the main evaluation path.  Returns the value, optionally with an
-    interval-style bound on the truncation error.
+    the main evaluation path.
     """
     import mpmath as mp
     alpha = float(alpha)
@@ -207,13 +192,11 @@ def ml_series_highprec(alpha, beta, z, digits: int = 30, return_bound: bool = Fa
         raise ValueError(f"digits must be in [1, 60], got {digits}")
     x = -z
     if x == 0.0:
-        value = float(1.0 / mp.gamma(beta))
-        return (value, 0.0) if return_bound else value
+        return float(1.0 / mp.gamma(beta))
     log10_maxterm = x ** (1.0 / alpha) / math.log(10.0) if alpha < 1.0 else x / math.log(10.0)
     need = digits + int(log10_maxterm) + 15
     if need > _SERIES_DPS_CAP:
-        value = _ml_contour_highprec(alpha, beta, x, digits)
-        return (value, 10.0 ** (-digits)) if return_bound else value
+        return _ml_contour_highprec(alpha, beta, x, digits)
     with mp.workdps(need):
         aa, bb, zz = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z)
         total = mp.mpf(0)
@@ -227,9 +210,7 @@ def ml_series_highprec(alpha, beta, z, digits: int = 30, return_bound: bool = Fa
             r += 1
             if r > 500_000:
                 raise ArithmeticError("series iteration cap exceeded")
-        value = float(total)
-        bound = float(abs(term) * 4)
-    return (value, bound) if return_bound else value
+        return float(total)
 
 
 def _ml_contour_highprec(alpha, beta, x, digits):

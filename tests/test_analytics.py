@@ -93,7 +93,7 @@ def test_second_factorial_moment_long_time():
 
 def test_second_factorial_moment_vs_ode_oracle():
     p = ProcessParams(1, 1, 100, 40, 1.0)
-    ode = master_equation_classical(p, 1.0, method="dop853")
+    ode = master_equation_classical(p, 1.0)
     n = np.arange(101)
     want = float((n * (n - 1.0)) @ ode.probs)
     assert second_factorial_moment(p, 1.0) == pytest.approx(want, abs=1e-6)
@@ -106,7 +106,7 @@ def test_variance_zero_at_start_and_limit():
 
 def test_variance_vs_ode_oracle_classical():
     p = ProcessParams(1, 1, 100, 40, 1.0)
-    ode = master_equation_classical(p, 0.5, method="dop853")
+    ode = master_equation_classical(p, 0.5)
     m1, m2f = _moments_from_pmf(ode)
     assert variance(p, 0.5) == pytest.approx(m2f + m1 - m1 * m1, abs=1e-6)
 
@@ -502,6 +502,18 @@ def test_pgf_edge_values():
     for params in (p, ProcessParams(0.5, 1.5, 100, 90, 0.8), ProcessParams(0, 1, 10, 3, 1.0)):
         for t in (0.0, 0.01, 2.0, 1e3):
             assert pgf(params, 1.0, t) == extinction_probability(params, t)
+
+
+def test_pgf_never_passes_one():
+    # the rule's weights sum to 1 under np.sum but to 1 + 1 ulp in a dot product
+    for order in (0.05, 0.3, 0.5, 0.7, 0.9, 0.99):
+        assert pgf(ProcessParams(1, 1, 5, 2, order), 0.0, 1.0) == 1.0
+        for args in ((1, 1, 5, 2), (0, 1e16, 1, 1), (1, 0, 3, 3), (2, 1, 9, 1)):
+            params = ProcessParams(*args, order)
+            for u in np.linspace(0.0, 2.0, 21):
+                for t in (0.0, 0.01, 1.0, 1e3):
+                    assert abs(pgf(params, u, t)) <= 1.0
+                    assert abs(classical_pgf(params, u, t)) <= 1.0
 
 
 @pytest.mark.parametrize(

@@ -46,23 +46,17 @@ def test_master_equation_initial_condition():
     assert sol.probs.sum() == 1.0
 
 
-def test_master_equation_routes_agree():
-    for t in (0.2, 1.0, 4.0):
-        via_expm = master_equation_classical(SMALL, t, method="expm")
-        via_rk = master_equation_classical(SMALL, t, method="dop853")
-        assert np.abs(via_expm.probs - via_rk.probs).max() <= 1e-11
-
-
 def test_master_equation_methods():
     default = master_equation_classical(SMALL, 1.0).probs
     assert np.array_equal(default, master_equation_classical(SMALL, 1.0, method="expm").probs)
-    with pytest.raises(ValueError):
-        master_equation_classical(SMALL, 1.0, method="auto")
+    for method in ("auto", "dop853"):
+        with pytest.raises(ValueError):
+            master_equation_classical(SMALL, 1.0, method=method)
 
 
 def test_master_equation_default_route_at_large_ceiling():
-    # the adaptive Runge-Kutta route leaves a -1.2e-12 entry here; the
-    # default matrix exponential stays within the negativity tolerance
+    # an adaptive Runge-Kutta solve leaves a -1.2e-12 entry here; the
+    # matrix exponential stays within the negativity tolerance
     params = ProcessParams(0.2629475049850304, 1.7136068122318835, 98, 17, 1.0)
     sol = master_equation_classical(params, 1.45057454660817)
     assert sol.probs.min() >= -1e-12
@@ -79,11 +73,11 @@ def test_master_equation_long_time_binomial():
 
 
 def test_spectral_batch_matches_expm():
-    ts = np.array([0.1, 0.6, 2.5, 9.0])
+    ts = np.array([0.1, 0.2, 0.6, 1.0, 2.5, 4.0, 9.0])
     batch = classical_pmf_batch(SMALL, ts)
     for row, t in zip(batch, ts):
         direct = master_equation_classical(SMALL, t, method="expm")
-        assert np.abs(row - direct.probs).max() <= 1e-10
+        assert np.abs(row - direct.probs).max() <= 1e-11
 
 
 def test_spectral_batch_pure_regimes():
@@ -130,10 +124,9 @@ def test_highprec_series_erfc_identity():
     assert got == pytest.approx(want, abs=1e-15)
 
 
-def test_highprec_series_reports_bound():
-    value, bound = ml_series_highprec(0.7, 0.7, -2.0, digits=30, return_bound=True)
+def test_highprec_series_known_value():
+    value = ml_series_highprec(0.7, 0.7, -2.0, digits=30)
     assert value == pytest.approx(0.077358224338521222028, abs=1e-15)
-    assert 0 <= bound < 1e-25
 
 
 def test_highprec_contour_fallback_consistent_with_series(monkeypatch):

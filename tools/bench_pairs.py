@@ -1,0 +1,169 @@
+"""Paired benchmark runs of a parent checkout against this working tree.
+
+    git archive --prefix=parent/ <parent-commit> | tar -x -C /some/dir
+    python3 tools/bench_pairs.py --parent /some/dir/parent --pairs 5 --out BENCH_13.json
+
+For each workload in BENCHMARK.json and each seed 1..--pairs, runs
+`perfbench/run.py --workload W --seed S --seconds N --trace 0` once in the
+parent checkout and once in this tree, one run at a time; odd seeds run the
+parent first, even seeds the change.  The output JSON holds every run and,
+per workload and end-to-end metric, each side's quartiles [q1, median, q3],
+how many pairs the change won (ties count for neither), the relative move of
+the median, and a verdict:
+
+* "past bound": the change's median is worse than the parent's by more than
+  the metric's BENCHMARK.json bound;
+* "unresolved": not past the bound, but the parent's own quartile spread is
+  wider than the bound, so the runs cannot tell;
+* "within bound" otherwise.
+
+The file is rewritten after every pair, so an interrupted run keeps what it
+has measured.  The exit code is 1 if any verdict is "past bound" or any run is
+incorrect or fails more ops than its pair at the parent, else 0.
+"""
+
+import argparse
+import glob
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _run(checkout, workload, seed, seconds):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _src_lines(checkout):
+    paths = glob.glob(os.path.join(checkout, "src", "**", "*.py"), recursive=True)
+    total = 0
+    for path in paths:
+        with open(path) as f:
+            total += sum(1 for _ in f)
+    return total
+
+
+def _machine():
+    model = "unknown CPU"
+    try:
+        with open("/proc/cpuinfo") as f:
+            model = next(line.split(":", 1)[1].strip() for line in f if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    import numpy
+    return (f"{os.cpu_count()} vCPU ({model}), Python {platform.python_version()}, "
+            f"numpy {numpy.__version__}")
+
+
+def _quartiles(values):
+    if len(values) < 2:
+        return [values[0]] * 3
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return [q1, median, q3]
+
+
+def summarize(runs, metrics):
+    """Per workload: seeds, correctness, and per metric the quartiles, wins and verdict."""
+    summary = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        pairs = {}
+        for r in runs:
+            if r["workload"] == workload:
+                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]
+        pairs = {s: p for s, p in sorted(pairs.items()) if len(p) == 2}
+        if not pairs:
+            continue
+        sound = all(
+            p["change"]["correct"] and p["parent"]["correct"]
+            and p["change"]["failed"] <= p["parent"]["failed"]
+            for p in pairs.values()
+        )
+        table = {}
+        for m in metrics:
+            name, lower, bound = m["name"], m["better"] == "lower", m["bound"]
+            parent = [p["parent"]["metrics"][name]["value"] for p in pairs.values()]
+            change = [p["change"]["metrics"][name]["value"] for p in pairs.values()]
+            wins = sum((c < a) if lower else (c > a) for a, c in zip(parent, change))
+            pq, cq = _quartiles(parent), _quartiles(change)
+            rel = cq[1] / pq[1] - 1.0
+            worse = rel if lower else -rel
+            if worse > bound:
+                verdict = "past bound"
+            elif (pq[2] - pq[0]) / pq[1] > bound:
+                verdict = "unresolved"
+            else:
+                verdict = "within bound"
+            table[name] = {
+                "parent_q1_median_q3": [round(v, 4) for v in pq],
+                "change_q1_median_q3": [round(v, 4) for v in cq],
+                "change_wins": f"{wins}/{len(pairs)}",
+                "median_change_rel": round(rel, 4),
+                "bound": bound,
+                "verdict": verdict,
+            }
+        summary[workload] = {"seeds": list(pairs), "all_correct_no_failures": sound, "metrics": table}
+    return summary
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="root of a checkout of the parent commit")
+    ap.add_argument("--out", required=True, help="JSON file to write, e.g. BENCH_13.json")
+    ap.add_argument("--pairs", type=int, default=5, help="pairs per workload, seeds 1..pairs")
+    args = ap.parse_args()
+    parent = os.path.abspath(args.parent)
+    if not os.path.isfile(os.path.join(parent, "perfbench", "run.py")):
+        ap.error(f"no perfbench/run.py under {parent}")
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    seconds = bench["run_seconds"]
+    sides = {"parent": parent, "change": ROOT}
+    doc = {
+        "description": (
+            "perfbench/run.py results for a parent checkout and this change, one run at a "
+            "time, written by tools/bench_pairs.py. Pairs alternate which side runs first "
+            "(odd seeds: parent first). summary_trace0 gives per side the quartiles "
+            "[q1, median, q3], how many pairs the change won, and a verdict against each "
+            "metric's BENCHMARK.json bound."
+        ),
+        "machine": _machine(),
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
+        "src_lines": {side: _src_lines(path) for side, path in sides.items()},
+        "summary_trace0": {},
+        "runs": [],
+    }
+    for workload in (w["name"] for w in bench["workloads"]):
+        for seed in range(1, args.pairs + 1):
+            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            for side in order:
+                result = _run(sides[side], workload, seed, seconds)
+                doc["runs"].append(
+                    {"side": side, "workload": workload, "seed": seed, "trace": 0, "result": result}
+                )
+            doc["summary_trace0"] = summarize(doc["runs"], bench["end_to_end"])
+            with open(args.out, "w") as f:
+                json.dump(doc, f, indent=1)
+                f.write("\n")
+            print(f"{workload} seed {seed} done", file=sys.stderr)
+    failed = False
+    for workload, entry in doc["summary_trace0"].items():
+        failed |= not entry["all_correct_no_failures"]
+        for name, row in entry["metrics"].items():
+            print(f"{workload:14s} {name:12s} {row['parent_q1_median_q3'][1]:10.4g} -> "
+                  f"{row['change_q1_median_q3'][1]:10.4g} ({row['median_change_rel']:+.1%}, "
+                  f"won {row['change_wins']}): {row['verdict']}")
+            failed |= row["verdict"] == "past bound"
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
