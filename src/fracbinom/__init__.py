@@ -2,7 +2,6 @@
 
 from .analytics import (
     AccuracyError,
-    Pmf,
     classical_pgf,
     equilibrium_pmf,
     extinction_probability,
@@ -15,7 +14,7 @@ from .analytics import (
     waiting_time_density,
 )
 from .mittag_leffler import ConvergenceError, ml, ml_one
-from .model import ProcessParams, Regime, classify, equilibrium_p
+from .model import Pmf, ProcessParams, Regime, classify, equilibrium_p
 from .sampler import (
     EnsembleStats,
     Path,

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .mittag_leffler import ml, ml_one
-from .model import ProcessParams, Regime, classify, equilibrium_p, _check_time, _occupancy
+from .model import Pmf, ProcessParams, Regime, classify, equilibrium_p, _check_time, _occupancy
 
 __all__ = [
     "AccuracyError",
@@ -51,24 +51,6 @@ EPS_NUM = 1e-9
 
 class AccuracyError(ArithmeticError):
     """A probability vector failed its internal normalization check."""
-
-
-@dataclass(frozen=True)
-class Pmf:
-    """Distribution of the population at a fixed time.
-
-    probs[n] = P(population == n), n = 0..ceiling.
-    """
-
-    t: float
-    probs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
-        self.probs.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.probs)
 
 
 def _finalize_pmf(t, raw):

@@ -192,13 +192,13 @@ def _validation_checks():
                 worst = max(worst, abs(got - want))
         return worst <= 1e-10, f"max |ml - series| = {worst:.2e}"
 
-    def classical_pmf_vs_ode():
+    def classical_pmf_vs_master_equation():
         params = ProcessParams(1, 2, 12, 5, 1.0)
         worst = 0.0
         for t in (0.25, 1.0, 4.0):
             dist = analytics.pmf(params, t)
-            ode = reference.master_equation_classical(params, t)
-            worst = max(worst, float(np.abs(dist.probs - ode.probs).max()))
+            ref = reference.master_equation_classical(params, t)
+            worst = max(worst, float(np.abs(dist.probs - ref.probs).max()))
         return worst <= 1e-6, f"max entry diff = {worst:.2e}"
 
     def extinction_matches_pmf():
@@ -237,7 +237,7 @@ def _validation_checks():
         return worst <= 5.0, f"max |diff|/se = {worst:.2f}"
 
     yield "mittag_leffler_vs_highprec_series", ml_vs_series
-    yield "classical_pmf_vs_master_equation", classical_pmf_vs_ode
+    yield "classical_pmf_vs_master_equation", classical_pmf_vs_master_equation
     yield "extinction_consistency", extinction_matches_pmf
     yield "equilibrium_monotone_approach", equilibrium_approach
     yield "subordination_mc_vs_state_formula", subordination_cross_check

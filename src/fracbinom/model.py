@@ -1,17 +1,21 @@
-"""Parameter container and regime classification for the binomial birth-death model.
+"""Parameters, regimes and the distribution type of the binomial birth-death model.
 
 The population lives on {0, ..., ceiling}: each vacancy fills at rate
 birth_rate and each individual dies at rate death_rate, both per unit
 time**order where order is the fractional memory exponent.  Rates carry an
-implicit time**(-order) dimension; no unit system is enforced.
+implicit time**(-order) dimension; no unit system is enforced.  `Pmf`, the
+population's distribution at one time, is what both the closed forms and the
+reference master equation return.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 
 class Regime(Enum):
@@ -68,11 +72,31 @@ class ProcessParams:
     def total_rate(self) -> float:
         return self.birth_rate + self.death_rate
 
-    def state_birth_rate(self, n: int) -> float:
+    def state_birth_rate(self, n):
+        """Birth rate birth_rate (N - n) in state n; n may be an array of states."""
         return self.birth_rate * (self.ceiling - n)
 
-    def state_death_rate(self, n: int) -> float:
+    def state_death_rate(self, n):
+        """Death rate death_rate n in state n; n may be an array of states."""
         return self.death_rate * n
+
+
+@dataclass(frozen=True)
+class Pmf:
+    """Distribution of the population at a fixed time.
+
+    probs[n] = P(population == n), n = 0..ceiling.
+    """
+
+    t: float
+    probs: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
+        self.probs.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.probs)
 
 
 def classify(params: ProcessParams) -> Regime:

@@ -15,15 +15,14 @@ the closed-form Mittag-Leffler expressions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProcessParams, Regime, classify
-from .sampler import RngSeed, stable_subordinator_unit
+from .model import Pmf, ProcessParams, Regime, classify, equilibrium_p, _check_time
+from .sampler import RngSeed, inverse_subordinator_sample
 
 __all__ = [
-    "OdeSolution",
     "McPmf",
     "generator_matrix",
     "master_equation_classical",
@@ -48,27 +47,6 @@ _SERIES_DPS_CAP = 150
 
 
 @dataclass(frozen=True)
-class OdeSolution:
-    """Classical state probabilities at one time, from numerical integration."""
-
-    t: float
-    probs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if abs(probs.sum() - 1.0) > _CONSERVATION_TOL:
-            raise ArithmeticError(
-                f"probability not conserved: sum={probs.sum()!r} at t={self.t}"
-            )
-        if probs.min() < -_NEGATIVE_TOL:
-            raise ArithmeticError(
-                f"negative probability {probs.min():.3e} at t={self.t}"
-            )
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-
-
-@dataclass(frozen=True)
 class McPmf:
     """Monte Carlo estimate of the fractional state probabilities."""
 
@@ -80,16 +58,9 @@ class McPmf:
 
 def generator_matrix(params: ProcessParams) -> np.ndarray:
     """Dense generator A with dp/dt = A p for the classical chain."""
-    n_cap = params.ceiling
-    lam, mu = params.birth_rate, params.death_rate
-    a = np.zeros((n_cap + 1, n_cap + 1))
-    for n in range(n_cap + 1):
-        a[n, n] = -(mu * n + lam * (n_cap - n))
-        if n + 1 <= n_cap:
-            a[n, n + 1] = mu * (n + 1)
-        if n - 1 >= 0:
-            a[n, n - 1] = lam * (n_cap - n + 1)
-    return a
+    levels = np.arange(params.ceiling + 1)
+    birth, death = params.state_birth_rate(levels), params.state_death_rate(levels)
+    return np.diag(birth[:-1], -1) + np.diag(death[1:], 1) - np.diag(birth + death)
 
 
 def _initial_vector(params: ProcessParams) -> np.ndarray:
@@ -98,25 +69,28 @@ def _initial_vector(params: ProcessParams) -> np.ndarray:
     return p0
 
 
-def master_equation_classical(params: ProcessParams, t, method="expm") -> OdeSolution:
+def master_equation_classical(params: ProcessParams, t, method="expm") -> Pmf:
     """Solve the classical master equation from the deterministic start.
 
     The probabilities are the scaling-and-squaring matrix exponential of the
     generator applied to the initial state; method="expm" names that route
     and is the only value accepted.  `classical_pmf_batch` reaches the same
     probabilities through an eigendecomposition, and the test suite checks
-    the two against each other.
+    the two against each other.  An ArithmeticError is raised if the total
+    is off 1 by more than 1e-10 or an entry is below -1e-12.
     """
     if method != "expm":
         raise ValueError(f"unknown method {method!r}")
-    t = float(t)
-    if t < 0.0 or not math.isfinite(t):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
-    if t == 0.0:
-        return OdeSolution(t=0.0, probs=_initial_vector(params))
-    from scipy.linalg import expm
-    probs = expm(generator_matrix(params) * t) @ _initial_vector(params)
-    return OdeSolution(t=t, probs=probs)
+    t = _check_time(t)
+    probs = _initial_vector(params)
+    if t > 0.0:
+        from scipy.linalg import expm
+        probs = expm(generator_matrix(params) * t) @ probs
+    if not abs(probs.sum() - 1.0) <= _CONSERVATION_TOL:
+        raise ArithmeticError(f"probability not conserved: sum={probs.sum()!r} at t={t}")
+    if probs.min() < -_NEGATIVE_TOL:
+        raise ArithmeticError(f"negative probability {probs.min():.3e} at t={t}")
+    return Pmf(t=t, probs=probs)
 
 
 def _spectral_factors(params: ProcessParams):
@@ -127,7 +101,7 @@ def _spectral_factors(params: ProcessParams):
     a = generator_matrix(params)
     n_cap = params.ceiling
     if classify(params) is Regime.GENERAL:
-        p = params.birth_rate / params.total_rate
+        p = equilibrium_p(params)
         n = np.arange(n_cap + 1)
         log_pi = (
             gammaln(n_cap + 1)
@@ -248,19 +222,14 @@ def subordination_pmf_mc(
     p_n(t) ~ mean_k p_n(V_k) with V_k independent draws of the inverse
     subordinator.  The law of V is sampled, never evaluated pointwise.
     """
-    t = float(t)
+    t = _check_time(t)
     n_samples = int(n_samples)
     if n_samples < 1000:
         raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
     if params.order == 1.0 or t == 0.0:
         probs = master_equation_classical(params, t).probs
-        zeros = np.zeros_like(probs)
-        return McPmf(t=t, probs=probs, se=zeros, n_samples=n_samples)
-    rng = np.random.default_rng(seed)
-    s = stable_subordinator_unit(params.order, rng, size=n_samples)
-    v = (t / s) ** params.order
+        return McPmf(t=t, probs=probs, se=np.zeros_like(probs), n_samples=n_samples)
+    v = inverse_subordinator_sample(params.order, t, np.random.default_rng(seed), size=n_samples)
     samples = classical_pmf_batch(params, v)
     probs = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / math.sqrt(n_samples)

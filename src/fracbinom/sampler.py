@@ -104,8 +104,8 @@ def stable_subordinator_unit(nu, rng, size=None):
 
         S = (sin(nu U) / sin(U)^(1/nu)) * (sin((1-nu) U) / W)^((1-nu)/nu)
 
-    Only 0 < nu < 1 is meaningful; nu == 1 is the degenerate S == 1 and is
-    bypassed upstream.
+    Only 0 < nu < 1 is meaningful; nu == 1 is the degenerate S == 1, which
+    `inverse_subordinator_sample` handles without a draw.
     """
     nu = float(nu)
     if not (0.0 < nu < 1.0):
@@ -119,10 +119,14 @@ def stable_subordinator_unit(nu, rng, size=None):
 
 
 def inverse_subordinator_sample(nu, t, rng, size=None):
-    """Draw the inverse subordinator at time t via the scaling identity (t/S)^nu."""
+    """Draw the inverse subordinator at time t via the scaling identity (t/S)^nu.
+
+    At t = 0 and at nu = 1 (the classical clock, S == 1) the value is t
+    itself and nothing is drawn from rng.
+    """
     t = _check_time(t)
-    if t == 0.0:
-        return 0.0 if size is None else np.zeros(size)
+    if t == 0.0 or float(nu) == 1.0:
+        return t if size is None else np.full(size, t)
     s = stable_subordinator_unit(nu, rng, size=size)
     return (t / s) ** nu
 
@@ -143,10 +147,7 @@ def fractional_values_at(params: ProcessParams, t, size, rng):
     t = _check_time(t)
     if t == 0.0:
         return np.full(size, params.initial, dtype=np.int64)
-    if params.order == 1.0:
-        v = np.full(size, t)
-    else:
-        v = inverse_subordinator_sample(params.order, t, rng, size=size)
+    v = inverse_subordinator_sample(params.order, t, rng, size=size)
     exponent = -params.total_rate * v
     stay, fill = _occupancy(equilibrium_p(params), np.exp(exponent), -np.expm1(exponent))
     kept = rng.binomial(params.initial, stay)
@@ -176,10 +177,9 @@ def _jump_path(params: ProcessParams, nu, horizon, rng) -> Path:
     horizon = float(horizon)
     if not (0.0 < horizon < math.inf):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    n_cap = params.ceiling
-    levels = np.arange(n_cap + 1)
-    up_rate = params.birth_rate * (n_cap - levels)
-    total_rate = up_rate + params.death_rate * levels
+    levels = np.arange(params.ceiling + 1)
+    up_rate = params.state_birth_rate(levels)
+    total_rate = up_rate + params.state_death_rate(levels)
     with np.errstate(divide="ignore", over="ignore"):
         scale = (total_rate ** (-1.0 / nu)).tolist()
     up_rate, total_rate = up_rate.tolist(), total_rate.tolist()

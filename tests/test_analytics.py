@@ -618,4 +618,6 @@ def test_waiting_time_density_domain_checks():
         waiting_time_density(p, 10, 1.0)  # ceiling is absorbing
     with pytest.raises(ValueError):
         waiting_time_density(SMALL, 6, 1.0)  # wrong regime
+    with pytest.raises(ValueError):
+        waiting_time_density(p, 4, -1.0)  # negative sojourn
     assert waiting_time_density(p, 4, 0.0) == math.inf  # pointwise divergence

@@ -45,7 +45,8 @@ def test_parse_log_grid():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "1:2", "2:1:5", "log:0:1:5", "a:b:c", "1:2:1", "-1:1:3", "0:inf:3", "log:1:nan:3"]
+    "bad",
+    ["", "1:2", "2:1:5", "log:0:1:5", "a:b:c", "1:2:1", "-1:1:3", "0:inf:3", "log:1:nan:3", "log:1:2"],
 )
 def test_parse_grid_rejects(bad):
     with pytest.raises(ValueError):
@@ -215,6 +216,27 @@ def test_seed_from_environment(tmp_path):
                    env_seed=555)
     assert a == b
     assert a != c  # explicit --seed wins over the environment
+
+
+def test_non_integer_seed_from_environment_is_a_config_error(tmp_path, capsys):
+    code, text = run_cli(
+        "simulate", "--lambda", "1", "--mu", "1", "--N", "10", "--M", "5",
+        "--horizon", "2", tmp_path=tmp_path, env_seed="1.5",
+    )
+    assert code == 2
+    assert text == ""
+    assert "FRACBIN_SEED must be an integer" in capsys.readouterr().err
+
+
+def test_generated_seed_goes_to_stderr(monkeypatch, capsys):
+    monkeypatch.delenv("FRACBIN_SEED", raising=False)
+    code = main(["simulate", "--lambda", "1", "--mu", "1", "--N", "10", "--M", "5",
+                 "--horizon", "2"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert err.startswith("seed: ") and int(err.split()[1]) >= 0
+    assert out.splitlines()[0] == "path_id,t,state"
+    assert out.splitlines()[1] == "0,0.0,5"
 
 
 def test_config_error_exit_code(tmp_path):

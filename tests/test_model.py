@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from fracbinom.analytics import mean
 from fracbinom.model import ProcessParams, Regime, classify, equilibrium_p
+from fracbinom.reference import master_equation_classical, subordination_pmf_mc
 from fracbinom.sampler import fractional_values_at, inverse_subordinator_sample, pure_birth_states_at
 
 
@@ -49,6 +50,7 @@ def test_state_rates():
         dict(birth_rate=math.nan, death_rate=1, ceiling=10, initial=5),
         dict(birth_rate=math.inf, death_rate=1, ceiling=10, initial=5),
         dict(birth_rate=1, death_rate=1, ceiling=10.5, initial=5),
+        dict(birth_rate=1, death_rate=1, ceiling=True, initial=1),
     ],
 )
 def test_invalid_params_rejected(kwargs):
@@ -105,11 +107,20 @@ _PURE_BIRTH = ProcessParams(1, 0, 5, 1, 0.6)
         lambda t: fractional_values_at(_PURE_BIRTH, t, 10, np.random.default_rng(0)),
         lambda t: pure_birth_states_at(_PURE_BIRTH, t, 10, np.random.default_rng(0)),
         lambda t: inverse_subordinator_sample(0.6, t, np.random.default_rng(0), size=10),
+        lambda t: subordination_pmf_mc(_PURE_BIRTH, t, 1000, seed=0),
+        lambda t: master_equation_classical(_PURE_BIRTH, t),
     ],
-    ids=["mean", "fractional_values_at", "pure_birth_states_at", "inverse_subordinator_sample"],
+    ids=[
+        "mean",
+        "fractional_values_at",
+        "pure_birth_states_at",
+        "inverse_subordinator_sample",
+        "subordination_pmf_mc",
+        "master_equation_classical",
+    ],
 )
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
 def test_time_check_is_shared(call, t):
-    # analytics and the samplers refuse the same times with the same message
+    # analytics, the samplers and the oracles refuse the same times with the same message
     with pytest.raises(ValueError, match="t must be finite and >= 0"):
         call(t)

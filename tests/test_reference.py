@@ -54,6 +54,21 @@ def test_master_equation_methods():
             master_equation_classical(SMALL, 1.0, method=method)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.full(13, 1.0 / 12.0), "probability not conserved"),
+        (np.r_[-1e-9, np.zeros(4), 1.0 + 1e-9, np.zeros(7)], "negative probability"),
+    ],
+)
+def test_master_equation_refuses_bad_output(monkeypatch, bad, message):
+    import scipy.linalg
+
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: np.outer(bad, np.ones(len(bad))))
+    with pytest.raises(ArithmeticError, match=message):
+        master_equation_classical(SMALL, 1.0)
+
+
 def test_master_equation_default_route_at_large_ceiling():
     # an adaptive Runge-Kutta solve leaves a -1.2e-12 entry here; the
     # matrix exponential stays within the negativity tolerance

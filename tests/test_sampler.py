@@ -88,6 +88,15 @@ def test_inverse_subordinator_zero_time():
     assert inverse_subordinator_sample(0.5, 0.0, rng_for(0)) == 0.0
 
 
+def test_inverse_subordinator_at_order_one_is_the_clock():
+    # S == 1 at nu = 1, so V(t) = t and nothing is drawn
+    rng = rng_for(0)
+    before = rng.bit_generator.state
+    assert inverse_subordinator_sample(1.0, 2.5, rng) == 2.5
+    assert np.array_equal(inverse_subordinator_sample(1.0, 2.5, rng, size=4), np.full(4, 2.5))
+    assert rng.bit_generator.state == before
+
+
 def test_inverse_subordinator_first_moment():
     # E[V_t] = t^nu / Gamma(1+nu); at nu=0.5, t=1 this is 1/Gamma(1.5)
     rng = rng_for(3)
@@ -216,6 +225,12 @@ def test_fractional_path_invariants():
     assert np.all(np.abs(np.diff(path.states)) == 1)
     assert path.states.min() >= 0 and path.states.max() <= 40
     assert path.times.max() <= 10.0
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+def test_fractional_path_rejects_bad_horizon(horizon):
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        fractional_path(ProcessParams(1, 1, 10, 5, 0.7), horizon, rng=rng_for(0))
 
 
 def test_fractional_path_at_order_one_is_classical():
@@ -364,6 +379,11 @@ def test_pure_birth_marginal_matches_pmf_chi_square():
     assert stat <= sps.chi2.ppf(0.99, df=dof)
 
 
+def test_pure_birth_states_at_requires_pure_birth():
+    with pytest.raises(ValueError, match="requires death_rate == 0"):
+        pure_birth_states_at(ProcessParams(1, 1, 10, 5, 0.7), 1.0, 10, rng_for(0))
+
+
 # ---------------------------------------------------------------------------
 # ensembles
 # ---------------------------------------------------------------------------
@@ -420,3 +440,7 @@ def test_path_type_validation():
         Path(np.array([0.5, 1.0]), np.array([5, 6]), horizon=2.0)  # no t=0
     with pytest.raises(ValueError):
         Path(np.array([0.0, 0.0]), np.array([5, 6]), horizon=2.0)  # not strict
+    with pytest.raises(ValueError):
+        Path(np.array([0.0, 1.0]), np.array([5]), horizon=2.0)  # unequal lengths
+    with pytest.raises(ValueError):
+        Path(np.array([[0.0, 1.0]]), np.array([[5, 6]]), horizon=2.0)  # 2-d

@@ -6,10 +6,15 @@
 For each workload in BENCHMARK.json and each seed 1..--pairs, runs
 `perfbench/run.py --workload W --seed S --seconds N --trace 0` once in the
 parent checkout and once in this tree, one run at a time; odd seeds run the
-parent first, even seeds the change.  The output JSON holds every run and,
-per workload and end-to-end metric, each side's quartiles [q1, median, q3],
-how many pairs the change won (ties count for neither), the relative move of
-the median, and a verdict:
+parent first, even seeds the change.  After each pair it also starts
+SETUP_ONLY (5) `perfbench/worker.py --setup-only` processes per side, with
+the environment run.py gives its workers, the sides alternating as
+ABBAABBAAB; a run's setup_s is the median of only 5 set-ups, and these extra
+samples show how much of a setup_s move is noise.  The output JSON holds
+every run and, per workload and end-to-end metric, each side's quartiles
+[q1, median, q3], how many pairs the change won (ties count for neither),
+the relative move of the median, and a verdict (setup_s also gets the
+quartiles of the set-up-only samples):
 
 * "past bound": the change's median is worse than the parent's by more than
   the metric's BENCHMARK.json bound;
@@ -24,6 +29,7 @@ incorrect or fails more ops than its pair at the parent, else 0.
 
 import argparse
 import glob
+import importlib.util
 import json
 import os
 import platform
@@ -32,6 +38,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SETUP_ONLY = 5  # set-up-only processes per side and pair
 
 
 def _run(checkout, workload, seed, seconds):
@@ -39,6 +46,21 @@ def _run(checkout, workload, seed, seconds):
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _worker_env(checkout):
+    """The environment the checkout's perfbench/run.py starts its workers with."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", os.path.join(checkout, "perfbench", "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._env()
+
+
+def _setup_only(checkout, env, workload, seed):
+    cmd = [sys.executable, "perfbench/worker.py", "--workload", workload,
+           "--seed", str(seed), "--setup-only"]
+    proc = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])["setup"]["setup_s"]
 
 
 def _src_lines(checkout):
@@ -69,8 +91,9 @@ def _quartiles(values):
     return [q1, median, q3]
 
 
-def summarize(runs, metrics):
-    """Per workload: seeds, correctness, and per metric the quartiles, wins and verdict."""
+def summarize(runs, metrics, setups):
+    """Per workload: seeds, correctness, and per metric the quartiles, wins and
+    verdict; setup_s also gets each side's set-up-only quartiles."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = {}
@@ -108,6 +131,13 @@ def summarize(runs, metrics):
                 "bound": bound,
                 "verdict": verdict,
             }
+        if "setup_s" in table:
+            for side in ("parent", "change"):
+                values = [v for s in setups
+                          if s["workload"] == workload and s["seed"] in pairs and s["side"] == side
+                          for v in s["setup_s"]]
+                if values:
+                    table["setup_s"][f"setup_only_{side}_q1_median_q3"] = [round(v, 4) for v in _quartiles(values)]
         summary[workload] = {"seeds": list(pairs), "all_correct_no_failures": sound, "metrics": table}
     return summary
 
@@ -127,19 +157,23 @@ def main():
         bench = json.load(f)
     seconds = bench["run_seconds"]
     sides = {"parent": parent, "change": ROOT}
+    envs = {side: _worker_env(path) for side, path in sides.items()}
     doc = {
         "description": (
             "perfbench/run.py results for a parent checkout and this change, one run at a "
             "time, written by tools/bench_pairs.py. Pairs alternate which side runs first "
             "(odd seeds: parent first). summary_trace0 gives per side the quartiles "
             "[q1, median, q3], how many pairs the change won, and a verdict against each "
-            "metric's BENCHMARK.json bound."
+            "metric's BENCHMARK.json bound. setup_only holds, per pair and side, the "
+            f"setup_s of {SETUP_ONLY} extra perfbench/worker.py --setup-only processes "
+            "(sides alternating), whose quartiles summary_trace0 gives next to setup_s."
         ),
         "machine": _machine(),
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "src_lines": {side: _src_lines(path) for side, path in sides.items()},
         "summary_trace0": {},
         "runs": [],
+        "setup_only": [],
     }
     for workload in (w["name"] for w in bench["workloads"]):
         for seed in range(1, args.pairs + 1):
@@ -149,7 +183,15 @@ def main():
                 doc["runs"].append(
                     {"side": side, "workload": workload, "seed": seed, "trace": 0, "result": result}
                 )
-            doc["summary_trace0"] = summarize(doc["runs"], bench["end_to_end"])
+            setup_s = {side: [] for side in order}
+            for i in range(SETUP_ONLY):
+                for side in (order if i % 2 == 0 else order[::-1]):
+                    setup_s[side].append(_setup_only(sides[side], envs[side], workload, seed))
+            doc["setup_only"].extend(
+                {"side": side, "workload": workload, "seed": seed, "setup_s": values}
+                for side, values in setup_s.items()
+            )
+            doc["summary_trace0"] = summarize(doc["runs"], bench["end_to_end"], doc["setup_only"])
             with open(args.out, "w") as f:
                 json.dump(doc, f, indent=1)
                 f.write("\n")
@@ -161,6 +203,9 @@ def main():
             print(f"{workload:14s} {name:12s} {row['parent_q1_median_q3'][1]:10.4g} -> "
                   f"{row['change_q1_median_q3'][1]:10.4g} ({row['median_change_rel']:+.1%}, "
                   f"won {row['change_wins']}): {row['verdict']}")
+            if "setup_only_parent_q1_median_q3" in row:
+                print(f"{workload:14s} {'set-up only':12s} parent {row['setup_only_parent_q1_median_q3']}, "
+                      f"change {row['setup_only_change_q1_median_q3']}")
             failed |= row["verdict"] == "past bound"
     return 1 if failed else 0
 
