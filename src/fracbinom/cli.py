@@ -228,6 +228,15 @@ def _validation_checks():
         resid = np.abs(dist.probs - mc.probs) / np.maximum(mc.se, 1e-12)
         return float(resid.max()) <= 5.0, f"max |diff|/se = {resid.max():.2f}"
 
+    def pmf_vs_laplace_oracle():
+        params = ProcessParams(1, 2, 40, 15, 0.9)
+        t = 2.0
+        want = reference.fractional_pmf_laplace(params, t).probs
+        worst = float(np.abs(analytics.pmf(params, t).probs - want).max())
+        ext = abs(analytics.extinction_probability(params, t) / want[0] - 1.0)
+        ok = worst <= 1e-13 and ext <= 1e-10
+        return ok, f"max entry diff = {worst:.2e}, extinction relative diff = {ext:.2e}"
+
     def mc_mean_vs_formula():
         params = ProcessParams(1, 1, 40, 10, 0.8)
         stats = sampler.ensemble(params, [0.5, 2.0], 4000, seed=77)
@@ -241,6 +250,7 @@ def _validation_checks():
     yield "extinction_consistency", extinction_matches_pmf
     yield "equilibrium_monotone_approach", equilibrium_approach
     yield "subordination_mc_vs_state_formula", subordination_cross_check
+    yield "fractional_pmf_vs_laplace_oracle", pmf_vs_laplace_oracle
     yield "ensemble_mean_vs_formula", mc_mean_vs_formula
 
 

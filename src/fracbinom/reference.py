@@ -8,8 +8,10 @@ numerically, by a scaling-and-squaring matrix exponential at one time and
 at many times at once through one eigendecomposition of the generator (the
 two routes check each other); the Mittag-Leffler series is summed in
 software extended precision; and the fractional state probabilities are
-estimated by direct Monte Carlo over the random time change, never through
-the closed-form Mittag-Leffler expressions.
+computed by inverting the Laplace transform of the paper's fractional
+forward equation in extended precision, and estimated by direct Monte Carlo
+over the random time change, never through the closed-form Mittag-Leffler
+expressions or the subordination rule.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "generator_matrix",
     "master_equation_classical",
     "classical_pmf_batch",
+    "fractional_pmf_laplace",
     "ml_series_highprec",
     "subordination_pmf_mc",
 ]
@@ -144,6 +147,66 @@ def classical_pmf_batch(params: ProcessParams, ts) -> np.ndarray:
             state = expm(a * (ts[i] - now)) @ state
             probs[i], now = state, ts[i]
     return probs
+
+
+def fractional_pmf_laplace(params: ProcessParams, t, digits: int = 30) -> Pmf:
+    """Fractional state probabilities from the paper's forward equation.
+
+    The Caputo equation D**order p = A p, with A the classical generator and
+    p(0) = e_M, has the transform p^(s) = s**(order-1) (s**order I - A)**-1 e_M.
+    It is inverted on the fixed Talbot contour of Abate & Valko (2004):
+    m = 1.7 digits + 4 nodes, r = 2m/(5t), s(theta) = r theta (cot theta + i),
+    at m + 15 decimal digits.  s**order I - A is tridiagonal, so each node
+    costs one Thomas sweep; its diagonal is the exact sum of each state's
+    outflow rates, so no probability leaks over long times.  No
+    Mittag-Leffler value, quadrature rule or sampler is used.  The error is
+    absolute rather than relative: at 30 digits an entry near 3e-59 came out
+    3e-4 off relative to the 45-digit value, so raise digits for entries
+    that small.
+    """
+    import mpmath as mp
+    t = _check_time(t)
+    digits = int(digits)
+    if not (1 <= digits <= 60):
+        raise ValueError(f"digits must be in [1, 60], got {digits}")
+    if t == 0.0:
+        return Pmf(t=t, probs=_initial_vector(params))
+    a = generator_matrix(params)
+    nodes = int(1.7 * digits) + 4
+    with mp.workdps(nodes + 15):
+        birth = [mp.mpf(v) for v in np.diag(a, -1)] + [0]  # state n -> n + 1
+        death = [0] + [mp.mpf(v) for v in np.diag(a, 1)] + [0]  # state n -> n - 1
+        outflow = [b + d for b, d in zip(birth, death)]
+        coupling = [0] + [b * d for b, d in zip(birth, death[1:])]
+        order, start = mp.mpf(params.order), params.initial
+        r = mp.mpf(2 * nodes) / (5 * mp.mpf(t))
+        total = [mp.mpf(0)] * len(outflow)
+        for k in range(nodes):
+            if k == 0:
+                s, scale = r, mp.mpf(0.5)
+            else:
+                theta = k * mp.pi / nodes
+                cot = mp.cot(theta)
+                s = r * theta * mp.mpc(cot, 1)
+                scale = mp.mpc(1, theta + (theta * cot - 1) * cot)
+            s_order = s**order
+            # Thomas sweep on (s**order I - A) x = e_M: inverse pivots, then
+            # the eliminated right-hand side, which is 0 above row M
+            inverse, rhs, prev = [], [], 0
+            for n in range(len(outflow)):
+                inverse.append(1 / (s_order + outflow[n] - coupling[n] * prev))
+                prev = inverse[-1]
+                if n < start:
+                    rhs.append(0)
+                else:
+                    rhs.append(((1 if n == start else 0) + birth[n - 1] * rhs[-1]) * prev)
+            factor = scale * mp.exp(s * t) * s ** (order - 1)
+            x = 0
+            for n in reversed(range(len(outflow))):
+                x = rhs[n] + death[n + 1] * inverse[n] * x
+                total[n] += (factor * x).real
+        probs = np.array([float(r * v / nodes) for v in total])
+    return Pmf(t=t, probs=probs)
 
 
 def ml_series_highprec(alpha, beta, z, digits: int = 30):

@@ -25,7 +25,7 @@ from fracbinom.analytics import (
 from fracbinom import analytics
 from fracbinom.mittag_leffler import ml_one
 from fracbinom.model import ProcessParams
-from fracbinom.reference import master_equation_classical, ml_series_highprec
+from fracbinom.reference import fractional_pmf_laplace, master_equation_classical, ml_series_highprec
 
 FIG1_LEFT = ProcessParams(1, 1, 100, 40, 0.7)
 FIG1_RIGHT = ProcessParams(1, 3, 100, 40, 0.7)
@@ -298,6 +298,49 @@ def test_pmf_matches_exact_alternating_sum(base, u_max, order):
     assert np.abs(pmf(params, t).probs - want).max() <= 1e-13
 
 
+@pytest.mark.parametrize("base,order", [((1.0, 2.0, 12, 5), 0.7), ((0.8, 0.0, 10, 3), 0.95), ((0.6, 0.3, 9, 8), 0.3)])
+def test_laplace_oracle_matches_exact_alternating_sum(base, order):
+    # the alternating sum reads its relaxation values as doubles, so it is
+    # itself only good to about 1e-14 where its weights cancel (pure birth)
+    params = ProcessParams(*base, order)
+    t = 3.0 * (params.ceiling * params.total_rate) ** (-1.0 / order)
+    want = _alternating_pmf(params, t)
+    assert np.abs(fractional_pmf_laplace(params, t).probs - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "args,t",
+    [
+        # pmf entries the two-dimensional Kanter grid got wrong by 2e-6, 3e-7
+        # and 8e-10 relative
+        ((7.97, 0.675, 150, 25, 0.1), 1.7e3),
+        ((2.09, 0.024, 150, 50, 0.3), 307.0),
+        ((2.0, 0.5, 120, 3, 0.95), 30.0),
+        # extinction it got wrong by 3.6e-3 and 5.1e-2 relative
+        ((0.5, 1.5, 100, 90, 0.6), 0.01),
+        ((0.51, 0.011, 40, 11, 0.9), 3.8e7),
+    ],
+)
+def test_pmf_and_extinction_match_laplace_oracle(args, t):
+    params = ProcessParams(*args)
+    want = fractional_pmf_laplace(params, t).probs
+    got = pmf(params, t).probs
+    assert np.abs(got - want).max() <= 1e-13
+    seen = want > 1e-25
+    assert np.abs(got[seen] / want[seen] - 1.0).max() <= 1e-10
+    assert extinction_probability(params, t) == pytest.approx(want[0], rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("order", [0.05, 0.3, 0.7, 0.95, 0.999])
+def test_rule_transform_matches_extended_series(order):
+    # sum_i w_i exp(-y x_i) is E_{order,1}(-y), from the bulk (y = 1e-3) out
+    # to where only x below 1e-12 counts (y = 1e12)
+    x, weight = analytics._subordination_rule(order)
+    for y in (1e-3, 1.0, 1e3, 1e8, 1e12):
+        want = ml_series_highprec(order, 1.0, -y, digits=20)
+        assert weight @ np.exp(-y * x) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_pmf_finalization_guards():
     # the mixture has no negative terms, so any negative entry, a broken
     # normalization or a NaN is an accuracy failure; roundoff in the total
@@ -327,56 +370,6 @@ def test_pmf_above_exact_factorials(args, t):
     assert probs.min() >= 0.0
     assert abs(probs.sum() - 1.0) <= 1e-12
     _assert_matches_moments(params, t, probs)
-
-
-# ---------------------------------------------------------------------------
-# Gauss rule in Z
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "order,t,reduced",
-    [
-        (0.05, 1e-12, "growth"),
-        (0.05, 1e3, "decay"),
-        (0.3, 1e-3, "growth"),
-        (0.3, 20.0, "decay"),
-        (0.7, 0.1, "growth"),
-        (0.7, 5.0, "decay"),
-        (0.999, 0.1, "growth"),
-        (0.999, 1.0, "decay"),
-    ],
-)
-def test_gauss_rule_matches_atom_moments(order, t, reduced):
-    # pmf reduces Z (decay), or 1 - Z (growth) where that is the smaller,
-    # and the rule must integrate every power up to 2 count - 1 as the
-    # atoms do
-    params = ProcessParams(1.0, 2.0, 40, 15, order)
-    decay, growth, weight = analytics._relaxed_atoms(params, t)
-    assert (weight @ growth < 0.5) == (reduced == "growth")
-    values = growth if reduced == "growth" else decay
-    count = 21
-    nodes, rule = analytics._gauss_rule(values, weight, count)
-    assert len(nodes) == count
-    for k in range(2 * count):
-        assert abs(rule @ nodes**k - weight @ values**k) <= 1e-13
-
-
-def test_gauss_rule_stops_when_atoms_are_spent():
-    # at t = 1e-14 every 1 - Z lies within 4e-14 of 0: one node is all the
-    # atoms can give
-    params = ProcessParams(1.0, 2.0, 40, 15, 0.999)
-    _, growth, weight = analytics._relaxed_atoms(params, 1e-14)
-    nodes, rule = analytics._gauss_rule(growth, weight, 21)
-    assert len(nodes) == 1
-    assert abs(rule.sum() - 1.0) <= 1e-15
-    assert nodes[0] == pytest.approx(weight @ growth, rel=1e-12, abs=0.0)
-    # atoms at two points give those points and their masses
-    values = np.array([0.2, 0.7, 0.2, 0.7, 0.2])
-    masses = np.array([0.1, 0.3, 0.25, 0.05, 0.3])
-    nodes, rule = analytics._gauss_rule(values, masses, 21)
-    assert np.allclose(nodes, [0.2, 0.7], rtol=0.0, atol=1e-15)
-    assert np.allclose(rule, [0.65, 0.35], rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -280,7 +280,7 @@ def test_accuracy_error_exit_code(tmp_path, monkeypatch):
 def test_validate_quick_suite_passes(capsys):
     assert main(["validate"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert sum(line.startswith("PASS ") for line in lines) == 6
+    assert sum(line.startswith("PASS ") for line in lines) == 7
     assert lines[-1] == "0 failure(s)"
 
 

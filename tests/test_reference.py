@@ -9,6 +9,7 @@ from fracbinom import reference
 from fracbinom.model import ProcessParams
 from fracbinom.reference import (
     classical_pmf_batch,
+    fractional_pmf_laplace,
     generator_matrix,
     master_equation_classical,
     ml_series_highprec,
@@ -126,6 +127,33 @@ def test_subordination_mc_with_ill_conditioned_spectrum(args, t):
     mc = subordination_pmf_mc(params, t, 2000, seed=5)
     assert mc.probs.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(np.abs(mc.probs - pmf(params, t).probs) <= 6.0 * mc.se + 1e-10)
+
+
+@pytest.mark.parametrize(
+    "args,t", [((1.0, 2.0, 12, 5, 1.0), 0.7), ((0.5, 1.5, 30, 25, 1.0), 4.0), ((1.0, 0.0, 10, 2, 1.0), 0.3)]
+)
+def test_laplace_oracle_matches_master_equation_at_order_one(args, t):
+    params = ProcessParams(*args)
+    want = master_equation_classical(params, t).probs
+    assert np.abs(fractional_pmf_laplace(params, t).probs - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("args,t", [((1.0, 2.0, 12, 5, 0.7), 0.7), ((0.6, 0.3, 9, 8, 0.3), 1e4)])
+def test_laplace_oracle_does_not_move_with_precision(args, t):
+    params = ProcessParams(*args)
+    probs = fractional_pmf_laplace(params, t).probs
+    assert np.array_equal(probs, fractional_pmf_laplace(params, t, digits=45).probs)
+    assert abs(probs.sum() - 1.0) <= 1e-15
+
+
+def test_laplace_oracle_start_and_arguments():
+    params = ProcessParams(1.0, 2.0, 6, 3, 0.5)
+    assert np.array_equal(fractional_pmf_laplace(params, 0.0).probs, np.eye(7)[3])
+    for digits in (0, 61):
+        with pytest.raises(ValueError):
+            fractional_pmf_laplace(params, 1.0, digits=digits)
+    with pytest.raises(ValueError):
+        fractional_pmf_laplace(params, -1.0)
 
 
 def test_highprec_series_classical_value():

@@ -22,6 +22,11 @@ quartiles of the set-up-only samples):
   wider than the bound, so the runs cannot tell;
 * "within bound" otherwise.
 
+Each run also records the minor page faults of its process tree (the
+RUSAGE_CHILDREN delta around it), and the summary gives each side's quartiles
+of them next to the metrics: where glibc trims the heap can move a timing
+with no change in the work done, and the faults show it.
+
 The file is rewritten after every pair, so an interrupted run keeps what it
 has measured.  The exit code is 1 if any verdict is "past bound" or any run is
 incorrect or fails more ops than its pair at the parent, else 0.
@@ -33,6 +38,7 @@ import importlib.util
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -41,11 +47,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SETUP_ONLY = 5  # set-up-only processes per side and pair
 
 
+def _minor_faults():
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+
+
 def _run(checkout, workload, seed, seconds):
+    """The run's result and the minor page faults of its whole process tree."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    before = _minor_faults()
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1]), _minor_faults() - before
 
 
 def _worker_env(checkout):
@@ -92,14 +104,16 @@ def _quartiles(values):
 
 
 def summarize(runs, metrics, setups):
-    """Per workload: seeds, correctness, and per metric the quartiles, wins and
-    verdict; setup_s also gets each side's set-up-only quartiles."""
+    """Per workload: seeds, correctness, per metric the quartiles, wins and
+    verdict, and each side's quartiles of minor page faults per run; setup_s
+    also gets each side's set-up-only quartiles."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
-        pairs = {}
+        pairs, faults = {}, {}
         for r in runs:
             if r["workload"] == workload:
                 pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]
+                faults.setdefault(r["seed"], {})[r["side"]] = r["minor_faults"]
         pairs = {s: p for s, p in sorted(pairs.items()) if len(p) == 2}
         if not pairs:
             continue
@@ -138,7 +152,14 @@ def summarize(runs, metrics, setups):
                           for v in s["setup_s"]]
                 if values:
                     table["setup_s"][f"setup_only_{side}_q1_median_q3"] = [round(v, 4) for v in _quartiles(values)]
-        summary[workload] = {"seeds": list(pairs), "all_correct_no_failures": sound, "metrics": table}
+        summary[workload] = {
+            "seeds": list(pairs),
+            "all_correct_no_failures": sound,
+            "metrics": table,
+            "minor_faults_q1_median_q3": {
+                side: _quartiles([faults[s][side] for s in pairs]) for side in ("parent", "change")
+            },
+        }
     return summary
 
 
@@ -166,7 +187,9 @@ def main():
             "[q1, median, q3], how many pairs the change won, and a verdict against each "
             "metric's BENCHMARK.json bound. setup_only holds, per pair and side, the "
             f"setup_s of {SETUP_ONLY} extra perfbench/worker.py --setup-only processes "
-            "(sides alternating), whose quartiles summary_trace0 gives next to setup_s."
+            "(sides alternating), whose quartiles summary_trace0 gives next to setup_s. "
+            "Each run's minor_faults counts the minor page faults of its process tree; "
+            "summary_trace0 gives each side's quartiles of them."
         ),
         "machine": _machine(),
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
@@ -179,10 +202,9 @@ def main():
         for seed in range(1, args.pairs + 1):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:
-                result = _run(sides[side], workload, seed, seconds)
-                doc["runs"].append(
-                    {"side": side, "workload": workload, "seed": seed, "trace": 0, "result": result}
-                )
+                result, faults = _run(sides[side], workload, seed, seconds)
+                doc["runs"].append({"side": side, "workload": workload, "seed": seed, "trace": 0,
+                                    "minor_faults": faults, "result": result})
             setup_s = {side: [] for side in order}
             for i in range(SETUP_ONLY):
                 for side in (order if i % 2 == 0 else order[::-1]):
@@ -207,6 +229,8 @@ def main():
                 print(f"{workload:14s} {'set-up only':12s} parent {row['setup_only_parent_q1_median_q3']}, "
                       f"change {row['setup_only_change_q1_median_q3']}")
             failed |= row["verdict"] == "past bound"
+        faults = entry["minor_faults_q1_median_q3"]
+        print(f"{workload:14s} {'minor faults':12s} parent {faults['parent']}, change {faults['change']}")
     return 1 if failed else 0
 
 
