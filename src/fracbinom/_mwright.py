@@ -138,8 +138,10 @@ def _series_density(x, order):
     return total * x / math.pi
 
 
+@functools.lru_cache(maxsize=2)  # callers use one order at a time
 def rule(order):
-    """Atoms (x, w) of the rule for the law of X = S**-order; sum w = 1."""
+    """Atoms (x, w) of the rule for the law of X = S**-order, sum w = 1; at
+    order 1 the single atom X = 1, which gives the classical chain."""
     if order == 1.0:
         return np.ones(1), np.ones(1)
     c = 1.0 - order

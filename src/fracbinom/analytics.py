@@ -13,8 +13,9 @@ atom; `pgf` reads the conditional generating function, a product of one
 factor per slot, at every atom, and `extinction_probability` is `pgf` at
 u = 1; `equilibrium_pmf` is the law at Z = 0.
 
-Moments reduce to Mittag-Leffler relaxation values
-E_{order,1}(-k (birth+death) t**order), k = 1, 2.
+The moments average the mean and variance given Z over the same rule, and
+add the spread of the mean given Z; the pure-birth sojourn density reads
+E_{order,order}(-y) = order E X exp(-y X) off it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import _mwright
-from .mittag_leffler import ml, ml_one
 from .model import Pmf, ProcessParams, Regime, classify, equilibrium_p, _check_time, _occupancy
 
 __all__ = [
@@ -76,17 +76,11 @@ def _finalize_pmf(t, raw):
 _BLOCK = 1 << 13
 
 
-@functools.lru_cache(maxsize=2)  # callers use one order at a time
-def _subordination_rule(order):
-    """Atoms (x, w) of a positive rule for the law of X = S**-order, sum w = 1
-    (see _mwright); at order 1 the single atom X = 1."""
-    return _mwright.rule(order)
-
-
-def _relaxed_atoms(params, t):
-    """Z = exp(-(birth+death) t**order X) and 1 - Z at the atoms, with their weights."""
-    x, weight = _subordination_rule(params.order)
-    exponent = -params.total_rate * t**params.order * x
+def _relaxed_atoms(order, rate_time):
+    """Z = exp(-rate_time X) and G = 1 - Z at the atoms of the rule for X (see
+    _mwright), with their weights; rate_time is (birth+death) t**order."""
+    x, weight = _mwright.rule(order)
+    exponent = -rate_time * x
     return np.exp(exponent), -np.expm1(exponent), weight
 
 
@@ -128,43 +122,51 @@ def _binomial_rows(n, success, failure):
 
 @functools.lru_cache(maxsize=8)
 def _relaxation(order, rate_time):
-    """(E1, E2) = E_{order,1}(-k rate_time) for k = 1, 2, the pair every moment
-    reads; kept for the last few times, since one time is usually asked for
-    its mean, variance and factorial moment in turn."""
-    return ml_one(order, -rate_time), ml_one(order, -2.0 * rate_time)
+    """(E Z, E G, E ZG) over the rule, the averages every moment reads; kept
+    for the last few times, since one time is usually asked for its mean,
+    variance and factorial moment in turn."""
+    decay, growth, weight = _relaxed_atoms(order, rate_time)
+    return float(weight @ decay), float(weight @ growth), float(weight @ (decay * growth))
 
 
 def mean(params: ProcessParams, t: float) -> float:
-    """Expected population at time t."""
+    """Expected population at time t: M Z + N p (1 - Z), averaged."""
     t = _check_time(t)
-    m0 = params.initial
     if t == 0.0:
-        return float(m0)
-    target = params.ceiling * equilibrium_p(params)
-    e1, _ = _relaxation(params.order, params.total_rate * t**params.order)
-    return (m0 - target) * e1 + target
+        return float(params.initial)
+    decay, growth, _ = _relaxation(params.order, params.total_rate * t**params.order)
+    return params.initial * decay + params.ceiling * equilibrium_p(params) * growth
+
+
+def variance(params: ProcessParams, t: float) -> float:
+    """Population variance at time t: the variance given Z, M stay leave +
+    (N-M) fill vacant as in `pmf`, averaged, plus (M - N p)**2 Var Z.  Var Z =
+    E Z E G - E ZG cancels where G is small, but is then second order in G."""
+    t = _check_time(t)
+    decay, growth, both = _relaxation(params.order, params.total_rate * t**params.order)
+    n_cap, m0 = params.ceiling, params.initial
+    p = equilibrium_p(params)
+    q = 1.0 - p
+    given_z = q * m0 * (p * growth + q * both) + p * (n_cap - m0) * (q * growth + p * both)
+    return given_z + (m0 - n_cap * p) ** 2 * (decay * growth - both)
 
 
 def second_factorial_moment(params: ProcessParams, t: float) -> float:
-    """E[X(t) (X(t) - 1)]."""
+    """E[X(t) (X(t) - 1)]: given Z, M (M-1) stay**2 + 2 M (N-M) stay fill +
+    (N-M) (N-M-1) fill**2, averaged term by term, since variance +
+    mean (mean - 1) would cancel where the population starts at 1."""
     t = _check_time(t)
     n_cap, m0 = params.ceiling, params.initial
     if t == 0.0:
         return float(m0 * (m0 - 1))
-    e1, e2 = _relaxation(params.order, params.total_rate * t**params.order)
+    decay, growth, both = _relaxation(params.order, params.total_rate * t**params.order)
     p = equilibrium_p(params)
-    h_inf = p * p * n_cap * (n_cap - 1)
-    cross = 2.0 * p * m0 * (n_cap - 1)
-    return h_inf + e2 * (h_inf - cross + m0 * (m0 - 1)) - e1 * (2.0 * h_inf - cross)
-
-
-def variance(params: ProcessParams, t: float) -> float:
-    """Population variance at time t; 0 at t=0, N p (1-p) in the long run."""
-    t = _check_time(t)
-    if t == 0.0:
-        return 0.0
-    m = mean(params, t)
-    return second_factorial_moment(params, t) + m - m * m
+    q = 1.0 - p
+    stay_sq = p * p + q * (1.0 + p) * decay - q * q * both  # stay = p + q Z
+    stay_fill = p * (p * growth + q * both)  # fill = p G
+    fill_sq = p * p * (growth - both)
+    gained = n_cap - m0
+    return m0 * (m0 - 1) * stay_sq + 2 * m0 * gained * stay_fill + gained * (gained - 1) * fill_sq
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +194,7 @@ def pmf(params: ProcessParams, t: float) -> Pmf:
     about (atoms) (M+1) (N-M+1) multiply-adds, in blocks of atoms.
     """
     t = _check_time(t)
-    decay, growth, weight = _relaxed_atoms(params, t)
+    decay, growth, weight = _relaxed_atoms(params.order, params.total_rate * t**params.order)
     p = equilibrium_p(params)
     stay, fill = _occupancy(p, decay, growth)
     vacant, leave = _occupancy(1.0 - p, decay, growth)
@@ -256,7 +258,7 @@ def pgf(params: ProcessParams, u: float, t: float) -> float:
     """
     u = _check_u(u)
     t = _check_time(t)
-    decay, growth, weight = _relaxed_atoms(params, t)
+    decay, growth, weight = _relaxed_atoms(params.order, params.total_rate * t**params.order)
     vacant, leave = _occupancy(1.0 - equilibrium_p(params), decay, growth)
     n_cap, m0 = params.ceiling, params.initial
     base = 1.0 - u
@@ -283,4 +285,6 @@ def waiting_time_density(params: ProcessParams, j: int, s: float) -> float:
     nu = params.order
     if s == 0.0:
         return rate if nu == 1.0 else math.inf
-    return rate * s ** (nu - 1.0) * ml(nu, nu, -rate * s**nu)
+    # E_{nu,nu}(-y) = nu E X exp(-y X), the derivative of E_{nu,1}(-y) = E exp(-y X)
+    x, weight = _mwright.rule(nu)
+    return rate * s ** (nu - 1.0) * nu * float(weight @ (x * np.exp(-rate * s**nu * x)))

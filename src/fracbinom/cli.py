@@ -103,18 +103,8 @@ def _emit(rows, header, args):
 
 def cmd_moments(args) -> int:
     params = _params_from(args)
-    grid = parse_t_grid(args.t_grid)
-    rows = []
-    for t in grid:
-        t = float(t)
-        rows.append(
-            (
-                t,
-                analytics.mean(params, t),
-                analytics.variance(params, t),
-                analytics.second_factorial_moment(params, t),
-            )
-        )
+    moments = (analytics.mean, analytics.variance, analytics.second_factorial_moment)
+    rows = [(t, *(f(params, t) for f in moments)) for t in map(float, parse_t_grid(args.t_grid))]
     _emit(rows, ["t", "mean", "variance", "second_factorial_moment"], args)
     return EXIT_OK
 

@@ -1,10 +1,10 @@
 """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) on the negative real axis.
 
-The supported domain is 0 < alpha <= 1, beta > 0, z <= 0, which is all the
-relaxation formulas of the binomial birth-death model ever need.  Target
-absolute accuracy is 1e-10; the three evaluation regimes below were
-calibrated against an extended-precision series oracle and individually
-stay below ~5e-13 on the calibration grid.
+The supported domain is 0 < alpha <= 1, beta > 0, z <= 0.  It is the public
+special function and the subject of a `fracbin validate` check; the model's
+quantities average over the rule for X in `_mwright` instead.  Target
+absolute accuracy is 1e-10; the three regimes below were calibrated against
+an extended-precision series oracle and stay below ~5e-13 on its grid.
 
 Evaluation regimes, keyed on u = |z|**(1/alpha) (the magnitude that controls
 both series cancellation and asymptotic truncation):
@@ -114,7 +114,7 @@ def ml(alpha: float, beta: float, z: float) -> float:
 
 
 def ml_one(alpha: float, z: float) -> float:
-    """E_{alpha,1}(z), the relaxation-function case used by all moments."""
+    """E_{alpha,1}(z), the relaxation function."""
     return ml(alpha, 1.0, z)
 
 

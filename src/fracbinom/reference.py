@@ -230,7 +230,9 @@ def ml_series_highprec(alpha, beta, z, digits: int = 30):
     x = -z
     if x == 0.0:
         return float(1.0 / mp.gamma(beta))
-    log10_maxterm = x ** (1.0 / alpha) / math.log(10.0) if alpha < 1.0 else x / math.log(10.0)
+    # the largest term is about exp(x**(1/alpha)), sized in log space: at small
+    # alpha x**(1/alpha) leaves the float range, and the contour answers
+    log10_maxterm = math.exp(min(math.log(x) / alpha, 709.0)) / math.log(10.0)
     need = digits + int(log10_maxterm) + 15
     if need > _SERIES_DPS_CAP:
         return _ml_contour_highprec(alpha, beta, x, digits)

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import warnings
 
 import mpmath as mp
@@ -22,7 +24,7 @@ from fracbinom.analytics import (
     variance,
     waiting_time_density,
 )
-from fracbinom import analytics
+from fracbinom import _mwright, analytics
 from fracbinom.mittag_leffler import ml_one
 from fracbinom.model import ProcessParams
 from fracbinom.reference import fractional_pmf_laplace, master_equation_classical, ml_series_highprec
@@ -59,19 +61,53 @@ def test_mean_constant_when_started_at_equilibrium():
         assert mean(p, t) == pytest.approx(40.0, abs=1e-12)
 
 
-def test_moments_at_one_time_share_one_relaxation_pair(monkeypatch):
-    calls = []
+def test_analytics_imports_nothing_from_mittag_leffler():
+    # every quantity is an average over the one rule for X, none an `ml` value
+    tree = ast.parse(pathlib.Path(analytics.__file__).read_text())
+    modules = {node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    names = {a.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    assert not any("mittag_leffler" in name for name in modules | names)
 
-    def spy(alpha, z):
-        calls.append(z)
-        return ml_one(alpha, z)
 
-    monkeypatch.setattr(analytics, "ml_one", spy)
+def test_moments_at_one_time_share_one_relaxation_pair():
+    # mean, variance and the factorial moment at one time cost one pass over the rule
     analytics._relaxation.cache_clear()
     params, t = ProcessParams(1, 2, 10, 4, 0.8), 1.3
     mean(params, t), variance(params, t), second_factorial_moment(params, t)
-    assert len(calls) == 2
-    assert calls[1] == 2.0 * calls[0]
+    assert analytics._relaxation.cache_info().misses == 1
+
+
+def _moments_highprec(params, t, digits=80):
+    """Mean, variance and factorial moment from G_k = 1 - E_{order,1}(-k y),
+    y = (birth+death) t**order, each inverted at `digits` digits from its
+    Laplace transform y k / (s (s**order + y k)) on mpmath's Talbot contour:
+    the transform is proportional to y, so G_k keeps its relative accuracy
+    however small y is, where the series cannot reach y of order 1 at small
+    orders (its largest term is about exp((k y)**(1/order)))."""
+    with mp.workdps(digits):
+        order = mp.mpf(params.order)
+        p = mp.mpf(params.birth_rate) / (mp.mpf(params.birth_rate) + params.death_rate)
+        q = 1 - p
+        y = (mp.mpf(params.birth_rate) + params.death_rate) * mp.mpf(t) ** order
+        g1, g2 = (mp.invertlaplace(lambda s, x=k * y: x / (s * (s**order + x)), 1, method="talbot") for k in (1, 2))
+        # E Z = 1 - g1, E Z**2 = 1 - g2, and E Z (1 - Z) = g2 - g1
+        n_cap, m0 = params.ceiling, params.initial
+        m = m0 + (n_cap * p - m0) * g1
+        var = q * m0 * (p * g1 + q * (g2 - g1)) + p * (n_cap - m0) * (q * g1 + p * (g2 - g1))
+        var += (m0 - n_cap * p) ** 2 * (2 * g1 - g2 - g1 * g1)
+        return float(m), float(var), float(var + m * (m - 1))
+
+
+@pytest.mark.parametrize("args", [(1, 2, 10, 5, 0.7), (0.3, 2, 150, 100, 0.05)])
+@pytest.mark.parametrize("t", [1e-6, 1e-14, 1e-100, 1e-300])
+def test_moments_relatively_exact_at_small_times(args, t):
+    # the closed form from E_{order,1} values cancelled here: the variance was
+    # 100% off at t = 1e-100 and negative at t = 1e-300
+    params = ProcessParams(*args)
+    want = _moments_highprec(params, t)
+    got = (mean(params, t), variance(params, t), second_factorial_moment(params, t))
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert got[1] >= 0.0
 
 
 def test_mean_pure_death_closed_form():
@@ -261,7 +297,7 @@ def test_pmf_envelope(birth, death, n_cap, start, order, log_t):
 def _alternating_pmf(params, t):
     """p_n = sum_s W[n, s] E_{order,1}(-s (birth+death) t**order), the weights W
     expanded exactly from the classical generating function, the relaxation
-    values from the extended-precision series."""
+    values summed from their series in extended precision."""
     with mp.workdps(40):
         p = mp.mpf(params.birth_rate) / (params.birth_rate + params.death_rate)
         q = 1 - p
@@ -278,9 +314,17 @@ def _alternating_pmf(params, t):
         rate_time = params.total_rate * t**params.order
         relax = []
         for s in range(params.ceiling + 1):
-            # the series, not its contour fallback, must answer
-            assert (s * rate_time) ** (1 / params.order) / math.log(10) + 45 <= 150
-            relax.append(mp.mpf(ml_series_highprec(params.order, 1.0, -s * rate_time)))
+            # the largest term is about exp((s rate_time)**(1/order))
+            digits = 45 + int((s * rate_time) ** (1 / params.order) / math.log(10))
+            assert digits <= 150
+            with mp.workdps(digits):
+                x, order = -s * mp.mpf(rate_time), mp.mpf(params.order)
+                value, k, term = mp.mpf(0), 0, mp.mpf(1)
+                while k < 5 or abs(term) > mp.mpf(10) ** -60:
+                    term = x**k / mp.gamma(order * k + 1)
+                    value += term
+                    k += 1
+            relax.append(value)
         probs = [mp.mpf(0)] * (params.ceiling + 1)
         for (n, s), c in weights.items():
             probs[n] += c * relax[s]
@@ -300,12 +344,10 @@ def test_pmf_matches_exact_alternating_sum(base, u_max, order):
 
 @pytest.mark.parametrize("base,order", [((1.0, 2.0, 12, 5), 0.7), ((0.8, 0.0, 10, 3), 0.95), ((0.6, 0.3, 9, 8), 0.3)])
 def test_laplace_oracle_matches_exact_alternating_sum(base, order):
-    # the alternating sum reads its relaxation values as doubles, so it is
-    # itself only good to about 1e-14 where its weights cancel (pure birth)
     params = ProcessParams(*base, order)
     t = 3.0 * (params.ceiling * params.total_rate) ** (-1.0 / order)
     want = _alternating_pmf(params, t)
-    assert np.abs(fractional_pmf_laplace(params, t).probs - want).max() <= 1e-13
+    assert np.abs(fractional_pmf_laplace(params, t).probs - want).max() <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -335,7 +377,7 @@ def test_pmf_and_extinction_match_laplace_oracle(args, t):
 def test_rule_transform_matches_extended_series(order):
     # sum_i w_i exp(-y x_i) is E_{order,1}(-y), from the bulk (y = 1e-3) out
     # to where only x below 1e-12 counts (y = 1e12)
-    x, weight = analytics._subordination_rule(order)
+    x, weight = _mwright.rule(order)
     for y in (1e-3, 1.0, 1e3, 1e8, 1e12):
         want = ml_series_highprec(order, 1.0, -y, digits=20)
         assert weight @ np.exp(-y * x) == pytest.approx(want, rel=1e-12, abs=0.0)

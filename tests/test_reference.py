@@ -32,8 +32,8 @@ def test_reference_module_is_independent_of_main_formulas():
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
             imported.update(a.name for a in node.names)
-    assert not any("mittag_leffler" in name for name in imported)
-    assert not any("analytics" in name for name in imported)
+    for forbidden in ("mittag_leffler", "analytics", "_mwright"):
+        assert not any(forbidden in name for name in imported)
 
 
 def test_generator_columns_conserve_probability():
@@ -201,6 +201,14 @@ def test_highprec_contour_fallback_consistent_with_series(monkeypatch):
             r += 1
         brute = float(total)
     assert via_fallback == pytest.approx(brute, abs=1e-14)
+
+
+@pytest.mark.parametrize("alpha,x", [(0.001, 10.0), (0.01, 50.0), (0.001, 0.5)])
+def test_highprec_series_at_small_alpha_matches_laplace_oracle(alpha, x):
+    # u = x**(1/alpha) leaves the float range at (0.001, 10), so the precision
+    # is sized in log space; the contour answers there and at (0.01, 50)
+    want = fractional_pmf_laplace(ProcessParams(0, x, 1, 1, alpha), 1.0).probs[1]
+    assert ml_series_highprec(alpha, 1.0, -x) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_highprec_series_validates_arguments():
