@@ -27,7 +27,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import _mwright
-from .model import Pmf, ProcessParams, Regime, classify, equilibrium_p, _check_time, _occupancy
+from .model import Pmf, ProcessParams, Regime, classify, equilibrium_p, _check_integer, _check_time, _occupancy
 
 __all__ = [
     "AccuracyError",
@@ -122,9 +122,11 @@ def _binomial_rows(n, success, failure):
 
 @functools.lru_cache(maxsize=8)
 def _relaxation(order, rate_time):
-    """(E Z, E G, E ZG) over the rule, the averages every moment reads; kept
-    for the last few times, since one time is usually asked for its mean,
-    variance and factorial moment in turn."""
+    """(E Z, E G, E ZG) over the rule, the averages every moment reads, and
+    exactly (1, 0, 0) at t = 0; kept for the last few times, since one time
+    is usually asked for its mean, variance and factorial moment in turn."""
+    if rate_time == 0.0:
+        return 1.0, 0.0, 0.0
     decay, growth, weight = _relaxed_atoms(order, rate_time)
     return float(weight @ decay), float(weight @ growth), float(weight @ (decay * growth))
 
@@ -132,8 +134,6 @@ def _relaxation(order, rate_time):
 def mean(params: ProcessParams, t: float) -> float:
     """Expected population at time t: M Z + N p (1 - Z), averaged."""
     t = _check_time(t)
-    if t == 0.0:
-        return float(params.initial)
     decay, growth, _ = _relaxation(params.order, params.total_rate * t**params.order)
     return params.initial * decay + params.ceiling * equilibrium_p(params) * growth
 
@@ -154,15 +154,13 @@ def variance(params: ProcessParams, t: float) -> float:
 def second_factorial_moment(params: ProcessParams, t: float) -> float:
     """E[X(t) (X(t) - 1)]: given Z, M (M-1) stay**2 + 2 M (N-M) stay fill +
     (N-M) (N-M-1) fill**2, averaged term by term, since variance +
-    mean (mean - 1) would cancel where the population starts at 1."""
+    mean (mean - 1) would cancel at M = 1; E stay**2 = (E stay)**2 + q**2 Var Z."""
     t = _check_time(t)
     n_cap, m0 = params.ceiling, params.initial
-    if t == 0.0:
-        return float(m0 * (m0 - 1))
     decay, growth, both = _relaxation(params.order, params.total_rate * t**params.order)
     p = equilibrium_p(params)
     q = 1.0 - p
-    stay_sq = p * p + q * (1.0 + p) * decay - q * q * both  # stay = p + q Z
+    stay_sq = (p + q * decay) ** 2 + q * q * (decay * growth - both)  # stay = p + q Z
     stay_fill = p * (p * growth + q * both)  # fill = p G
     fill_sq = p * p * (growth - both)
     gained = n_cap - m0
@@ -253,8 +251,8 @@ def pgf(params: ProcessParams, u: float, t: float) -> float:
     Given Z each slot contributes one factor, (1-u) + u P(vacant at t), so
     the transform is the rule's average of their product; u = 1 gives
     extinction_probability.  The weighted sum is divided by the weights'
-    own sum, taken the same way, so u = 0 gives exactly 1, and it is kept
-    in [-1, 1].
+    own sum, taken the same way, so u = 0 gives exactly 1, and since every
+    factor lies in [-1, 1] the value does too.
     """
     u = _check_u(u)
     t = _check_time(t)
@@ -263,8 +261,7 @@ def pgf(params: ProcessParams, u: float, t: float) -> float:
     n_cap, m0 = params.ceiling, params.initial
     base = 1.0 - u
     factors = (base + u * leave) ** m0 * (base + u * vacant) ** (n_cap - m0)
-    value = float(np.sum(weight * factors) / np.sum(weight))
-    return min(1.0, max(-1.0, value))
+    return float(np.sum(weight * factors) / np.sum(weight))
 
 
 def waiting_time_density(params: ProcessParams, j: int, s: float) -> float:
@@ -274,12 +271,13 @@ def waiting_time_density(params: ProcessParams, j: int, s: float) -> float:
     """
     if classify(params) is not Regime.PURE_BIRTH:
         raise ValueError("waiting_time_density requires the pure-birth regime")
+    j = _check_integer("state j", j)
     if not (params.initial <= j < params.ceiling):
         raise ValueError(
             f"state j must satisfy initial <= j < ceiling, got j={j}"
         )
     s = float(s)
-    if s < 0.0:
+    if not (s >= 0.0):
         raise ValueError(f"s must be >= 0, got {s}")
     rate = params.state_birth_rate(j)
     nu = params.order

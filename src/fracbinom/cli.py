@@ -7,8 +7,8 @@ stdout or --out.  Every subcommand is a pure function of its flags and seed;
 the seed is taken from --seed, else the FRACBIN_SEED environment variable,
 else generated and printed to stderr.
 
-Exit codes: 0 ok, 2 configuration error, 3 numerical-accuracy error,
-4 validation failure.
+Exit codes: 0 ok, 2 configuration error (an --out that cannot be written
+among them), 3 numerical-accuracy error, 4 validation failure.
 """
 
 from __future__ import annotations
@@ -37,21 +37,15 @@ SEED_ENV_VAR = "FRACBIN_SEED"
 def parse_t_grid(spec: str) -> np.ndarray:
     """Parse 'start:stop:count' (linear) or 'log:start:stop:count'."""
     parts = spec.split(":")
+    log = parts[0] == "log"
     try:
-        if parts[0] == "log":
-            if len(parts) != 4:
-                raise ValueError
-            start, stop, count = _check_time(parts[1]), _check_time(parts[2]), int(parts[3])
-            if start <= 0 or stop <= start or count < 2:
-                raise ValueError
-            return np.geomspace(start, stop, count)
-        if len(parts) != 3:
+        if len(parts) != 3 + log:
             raise ValueError
-        start, stop, count = _check_time(parts[0]), _check_time(parts[1]), int(parts[2])
-        if stop <= start or count < 2:
+        start, stop, count = _check_time(parts[-3]), _check_time(parts[-2]), int(parts[-1])
+        if stop <= start or count < 2 or (log and start <= 0):
             raise ValueError
-        return np.linspace(start, stop, count)
-    except (ValueError, IndexError):
+        return (np.geomspace if log else np.linspace)(start, stop, count)
+    except ValueError:
         raise ValueError(
             f"bad t-grid {spec!r}: expected start:stop:count or log:start:stop:count"
         ) from None
@@ -95,8 +89,11 @@ def _emit(rows, header, args):
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     data = buf.getvalue()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(data)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(data)
 

@@ -195,11 +195,10 @@ def _asymptotic_table(alpha, beta):
     1/Gamma oscillates through pole zeros, so truncation is controlled by
     the smooth envelope x**-k / Gamma(w) for w = beta - alpha k > 1/2, and by
     the reflection envelope x**-k Gamma(1 - w)/pi below, where the term is
-    the envelope times sin(pi w).  The table stops at the first term whose
-    envelope is below 1e-18 for every x of the regime at which `_asymptotic`
-    sums it, that is for log x >= max(log x_min, c_j - c_(j-1) for j <= k).
+    the envelope times sin(pi w).  The table holds all _ASYMP_TERMS terms;
+    `_asymptotic` cuts it for each x where the envelope turns up or falls
+    below 1e-18.
     """
-    reach = alpha * math.log(_ASYMP_MIN_U)  # smallest log x that sums term k
     log_env, factor = [], []
     for k in range(1, _ASYMP_TERMS + 1):
         w = beta - alpha * k
@@ -211,10 +210,6 @@ def _asymptotic_table(alpha, beta):
             factor.append(_sin_pi(w))
         if k & 1 == 0:
             factor[-1] = -factor[-1]
-        if k > 1:
-            reach = max(reach, log_env[-1] - log_env[-2])
-        if log_env[-1] - k * reach < _LOG_ASYMP_TAIL:
-            break
     rise = np.maximum.accumulate(np.diff(log_env)).tolist()
     k = np.arange(1.0, len(log_env) + 1.0)
     return _frozen(k, np.array(log_env), np.array(factor)) + (rise,)

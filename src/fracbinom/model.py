@@ -46,13 +46,7 @@ class ProcessParams:
         object.__setattr__(self, "death_rate", float(self.death_rate))
         object.__setattr__(self, "order", float(self.order))
         for name in ("ceiling", "initial"):
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         if not (self.birth_rate >= 0.0 and math.isfinite(self.birth_rate)):
             raise ValueError(f"birth_rate must be finite and >= 0, got {self.birth_rate}")
         if not (self.death_rate >= 0.0 and math.isfinite(self.death_rate)):
@@ -118,6 +112,16 @@ def _check_time(t):
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError(f"t must be finite and >= 0, got {t}")
     return t
+
+
+def _check_integer(name, value):
+    """value as an int; a ValueError for a bool or anything that is not an integer."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _occupancy(p, decay, growth):

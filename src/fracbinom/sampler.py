@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ProcessParams, Regime, classify, equilibrium_p, _check_time, _occupancy
+from .model import ProcessParams, Regime, classify, equilibrium_p, _check_integer, _check_time, _occupancy
 
 __all__ = [
     "RngSeed",
@@ -258,7 +258,7 @@ def ensemble(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0 or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be a nonempty ascending 1-d array")
-    n_paths = int(n_paths)
+    n_paths = _check_integer("n_paths", n_paths)
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
     sizes = [_CHUNK] * (n_paths // _CHUNK)

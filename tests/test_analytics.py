@@ -127,6 +127,23 @@ def test_second_factorial_moment_long_time():
     assert second_factorial_moment(p, 1e12) == pytest.approx(want, rel=1e-6)
 
 
+@pytest.mark.parametrize("t", [20.0, 40.0, 80.0])
+def test_second_factorial_moment_pure_death_late_times(t):
+    # E stay**2 read as p**2 + q (1+p) E Z - q**2 E ZG was 2.9e-8 off at
+    # t = 20 and read 0 at t = 40 and 80
+    p = ProcessParams(0, 1, 10, 10, 1.0)
+    assert second_factorial_moment(p, t) == pytest.approx(90.0 * math.exp(-2.0 * t), rel=1e-13, abs=0.0)
+
+
+def test_second_factorial_moment_near_pure_death_matches_mpmath():
+    p, t = ProcessParams(2.593569443235879e-07, 0.2593569443235879, 44, 44, 1.0), 59.78752930744667
+    with mp.workdps(50):
+        rate = mp.mpf(p.birth_rate) + mp.mpf(p.death_rate)
+        eq = mp.mpf(p.birth_rate) / rate
+        want = 44 * 43 * (eq + (1 - eq) * mp.exp(-rate * mp.mpf(t))) ** 2
+    assert second_factorial_moment(p, t) == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+
 def test_second_factorial_moment_vs_ode_oracle():
     p = ProcessParams(1, 1, 100, 40, 1.0)
     ode = master_equation_classical(p, 1.0)
@@ -656,3 +673,13 @@ def test_waiting_time_density_domain_checks():
     with pytest.raises(ValueError):
         waiting_time_density(p, 4, -1.0)  # negative sojourn
     assert waiting_time_density(p, 4, 0.0) == math.inf  # pointwise divergence
+
+
+def test_waiting_time_density_refuses_nan_sojourn_and_non_integer_state():
+    p = ProcessParams(1.0, 0.0, 10, 4, 0.75)
+    with pytest.raises(ValueError):
+        waiting_time_density(p, 4, math.nan)
+    with pytest.raises(ValueError):
+        waiting_time_density(p, 4.5, 1.0)
+    assert waiting_time_density(p, 4, math.inf) == 0.0
+    assert waiting_time_density(p, np.int64(5), 1.0) == waiting_time_density(p, 5, 1.0)

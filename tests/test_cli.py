@@ -252,6 +252,14 @@ def test_config_error_exit_code(tmp_path):
     assert code == 2
 
 
+def test_unwritable_out_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    code = main(["equilibrium", "--lambda", "1", "--mu", "1", "--N", "4", "--M", "2", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write --out")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("paths", ["0", "-3"])
 def test_simulate_rejects_fewer_than_one_path(tmp_path, paths):
     code, text = run_cli(

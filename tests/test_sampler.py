@@ -421,6 +421,14 @@ def test_ensemble_minimal_and_validation():
         ensemble(p, [2.0, 1.0], 10, seed=1)
 
 
+def test_ensemble_refuses_non_integer_path_count():
+    p = ProcessParams(1, 1, 10, 5, 0.7)
+    for n_paths in (2.7, 3.0, "4"):
+        with pytest.raises(ValueError, match="n_paths must be an integer"):
+            ensemble(p, [0.5], n_paths, seed=1)
+    assert ensemble(p, [0.5], np.int64(3), seed=1).n_paths == 3
+
+
 def test_ensemble_matches_mean_and_equilibrium_variance():
     p = ProcessParams(1, 1, 100, 40, 0.7)
     stats = ensemble(p, [2.0, 500.0], 10_000, seed=2024)

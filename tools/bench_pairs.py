@@ -25,7 +25,8 @@ quartiles of the set-up-only samples):
 Each run also records the minor page faults of its process tree (the
 RUSAGE_CHILDREN delta around it), and the summary gives each side's quartiles
 of them next to the metrics: where glibc trims the heap can move a timing
-with no change in the work done, and the faults show it.
+with no change in the work done, and the faults show it.  The closing lines
+end with each side's count of lines of Python under src/.
 
 The file is rewritten after every pair, so an interrupted run keeps what it
 has measured.  The exit code is 1 if any verdict is "past bound" or any run is
@@ -231,6 +232,8 @@ def main():
             failed |= row["verdict"] == "past bound"
         faults = entry["minor_faults_q1_median_q3"]
         print(f"{workload:14s} {'minor faults':12s} parent {faults['parent']}, change {faults['change']}")
+    lines = doc["src_lines"]
+    print(f"{'src lines':27s} parent {lines['parent']}, change {lines['change']}")
     return 1 if failed else 0
 
 
