@@ -1,17 +1,19 @@
 """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) on the negative real axis.
 
-The supported domain is 1e-4 <= alpha <= 1, beta > 0, z <= 0; the series
-table needs ~33/alpha terms, so smaller orders are refused.  It is the public
-special function and the subject of a `fracbin validate` check; the model's
-quantities average over the rule for X in `_mwright` instead.  Target
-absolute accuracy is 1e-10; the three regimes below were calibrated against
-an extended-precision series oracle and stay below ~5e-13 on its grid.
+The supported domain is 1e-4 <= alpha <= 1, beta > 0, z <= 0; smaller orders
+are refused, as `ProcessParams` refuses them, since no oracle or test reaches
+below.  It is the public special function and the subject of a `fracbin
+validate` check; the model's quantities average over the rule for X in
+`_mwright` instead.  Target absolute accuracy is 1e-10; the three regimes
+below were calibrated against an extended-precision series oracle and stay
+below ~5e-13 on its grid.
 
-Evaluation regimes, keyed on u = |z|**(1/alpha) (the magnitude that controls
-both series cancellation and asymptotic truncation):
+Evaluation regimes for alpha < 1, the last two keyed on u = |z|**(1/alpha)
+(the magnitude that controls asymptotic truncation):
 
-* u <= 4: Taylor series, summed exactly rounded.  The largest term is
-  bounded by e**4, so cancellation costs at most ~e4*eps.
+* |z| <= 1/2: Taylor series, 60 terms for every (alpha, beta), summed exactly
+  rounded.  |1/Gamma| <= 1.13 on the positive axis, so the dropped tail is
+  below 2e-18, and 1 - E keeps its relative accuracy at small |z|.
 * u >= 36: asymptotic power series in 1/z, truncated at the minimum of a
   monotone term envelope.  The achievable bound is checked at runtime and
   the contour method below is used as a fallback if it is inadequate
@@ -22,12 +24,11 @@ both series cancellation and asymptotic truncation):
   representations degrade.
 
 Everything that depends on (alpha, beta) alone is tabulated once per pair
-and kept for the last few pairs: the signed reciprocal Gamma of every series
-term the regime can need, the log envelope and sign factor of every
-asymptotic term, and s**alpha and the rest of the contour integrand at the
-nodes.  An evaluation is then a few vector operations and one exactly
-rounded sum.  Gamma values come from the standard library, so this module
-needs numpy only.
+and kept for the last few pairs: the signed reciprocal Gamma of the 60
+series terms, the log envelope and sign factor of every asymptotic term, and
+s**alpha and the rest of the contour integrand at the nodes.  An evaluation
+is then a few vector operations and one exactly rounded sum.  Gamma values
+come from the standard library, so this module needs numpy only.
 
 alpha == 1 bypasses all of this: beta == 1 is exp(z) at every z, and
 general beta is summed through the Kummer-transformed confluent series,
@@ -42,6 +43,8 @@ import math
 
 import numpy as np
 
+from .model import _MIN_ORDER as _MIN_ALPHA
+
 __all__ = ["ml", "ml_one", "ConvergenceError"]
 
 
@@ -49,10 +52,10 @@ class ConvergenceError(ArithmeticError):
     """Internal tolerance could not be met for the requested arguments."""
 
 
-# Regime boundaries in u = |z|**(1/alpha); see module docstring.
-_SERIES_MAX_U = 4.0
+# Regime boundaries in |z| and in u = |z|**(1/alpha); see module docstring.
+_SERIES_MAX_X = 0.5
+_SERIES_TERMS = 60
 _ASYMP_MIN_U = 36.0
-_MIN_ALPHA = 1e-4  # the series table takes ~0.3 s to build here, ~10x per decade below
 
 # Parabolic contour s = mu (1 + i w)**2 (vertex, node count, endpoint decay
 # exponent), its trapezoid nodes and ds/dw.
@@ -65,8 +68,7 @@ _CONTOUR_S = _CONTOUR_MU * (1.0 + 1j * _CONTOUR_W) ** 2
 _CONTOUR_DS = 2j * _CONTOUR_MU * (1.0 + 1j * _CONTOUR_W)
 
 _ABS_TOL = 1e-13
-# Terms whose size (series) or envelope (asymptotic) is below these are not summed.
-_SERIES_TAIL = 1e-17
+# Asymptotic terms whose envelope is below this are not summed.
 _LOG_ASYMP_TAIL = math.log(1e-18)
 _ASYMP_TERMS = 319
 
@@ -100,10 +102,9 @@ def ml(alpha: float, beta: float, z: float) -> float:
             return value
         return _exp_regime(beta, x)
 
-    log_u = math.log(x) / alpha
-    if log_u <= math.log(_SERIES_MAX_U):
+    if x <= _SERIES_MAX_X:
         return _series(alpha, beta, x)
-    if log_u >= math.log(_ASYMP_MIN_U):
+    if math.log(x) / alpha >= math.log(_ASYMP_MIN_U):
         value, bound = _asymptotic(alpha, beta, x)
         if bound <= _ABS_TOL * (1.0 + abs(value)):
             return value
@@ -148,23 +149,17 @@ def _frozen(*arrays):
 
 @functools.lru_cache(maxsize=_TABLES)
 def _series_table(alpha, beta):
-    """r and (-1)**r / Gamma(alpha r + beta) for every term that reaches 1e-17
-    at u = 4, the largest argument of the series regime."""
-    x_max = _SERIES_MAX_U**alpha
-    coef = []
-    # the term count scales like 1/alpha before the Gamma growth takes over
-    for r in range(max(600, int(60.0 / alpha))):
-        coef.append(_rgamma(alpha * r + beta))
-        if r > 3 and coef[-1] * x_max**r < _SERIES_TAIL:
-            r = np.arange(len(coef), dtype=float)
-            return _frozen(r, np.array(coef) * (1.0 - 2.0 * (r % 2)))
-    raise ConvergenceError(f"series did not converge at alpha={alpha}, beta={beta}")
+    """r and (-1)**r / Gamma(alpha r + beta) for r < 60: at x <= 1/2 the rest
+    sums to below 2e-18."""
+    r = np.arange(_SERIES_TERMS, dtype=float)
+    coef = np.array([_rgamma(alpha * k + beta) for k in r.tolist()])
+    return _frozen(r, coef * (1.0 - 2.0 * (r % 2)))
 
 
 def _series(alpha: float, beta: float, x: float) -> float:
     # sum_r (-x)^r / Gamma(alpha r + beta).  x**r times a reciprocal Gamma
     # is a few ulps off each term; exp(r log x - log Gamma) is off by up to
-    # |r log x| + |log Gamma| ulps, which doubles the error near u = 4.
+    # |r log x| + |log Gamma| ulps.
     r, coef = _series_table(alpha, beta)
     return math.fsum((coef * np.power(x, r)).tolist())
 

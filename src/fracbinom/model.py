@@ -17,6 +17,8 @@ from enum import Enum
 
 import numpy as np
 
+_MIN_ORDER = 1e-4  # also `ml`'s floor: the rule for X degrades below, where no oracle reaches
+
 
 class Regime(Enum):
     GENERAL = "general"
@@ -32,7 +34,7 @@ class ProcessParams:
     death_rate: per-individual death coefficient, >= 0
     ceiling: population ceiling N >= 1
     initial: initial population M with 1 <= M <= N
-    order: fractional order in (0, 1]; 1 recovers the classical Markov chain
+    order: fractional order in [1e-4, 1]; 1 recovers the classical Markov chain
     """
 
     birth_rate: float
@@ -51,16 +53,16 @@ class ProcessParams:
             raise ValueError(f"birth_rate must be finite and >= 0, got {self.birth_rate}")
         if not (self.death_rate >= 0.0 and math.isfinite(self.death_rate)):
             raise ValueError(f"death_rate must be finite and >= 0, got {self.death_rate}")
-        if self.birth_rate + self.death_rate <= 0.0:
-            raise ValueError("birth_rate + death_rate must be positive; the process is degenerate otherwise")
+        if not (0.0 < self.birth_rate + self.death_rate < math.inf):
+            raise ValueError(f"birth_rate + death_rate must be positive and finite, got {self.total_rate}")
         if self.ceiling < 1:
             raise ValueError(f"ceiling must be >= 1, got {self.ceiling}")
         if not (1 <= self.initial <= self.ceiling):
             raise ValueError(
                 f"initial must satisfy 1 <= initial <= ceiling, got initial={self.initial}, ceiling={self.ceiling}"
             )
-        if not (0.0 < self.order <= 1.0):
-            raise ValueError(f"order must be in (0, 1], got {self.order}")
+        if not (_MIN_ORDER <= self.order <= 1.0):
+            raise ValueError(f"order must be in [{_MIN_ORDER}, 1], got {self.order}")
 
     @property
     def total_rate(self) -> float:

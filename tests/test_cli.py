@@ -250,6 +250,10 @@ def test_config_error_exit_code(tmp_path):
         "--t-grid", "junk", tmp_path=tmp_path,
     )
     assert code == 2
+    # an order below the floor, or a rate sum that overflows, would print rows of NaN
+    for rates in (["--lambda", "1", "--mu", "1", "--nu", "1e-20"], ["--lambda", "1e308", "--mu", "1e308"]):
+        code, text = run_cli("moments", *rates, "--N", "10", "--M", "3", "--t-grid", "0:1:2", tmp_path=tmp_path)
+        assert (code, text) == (2, "")
 
 
 def test_unwritable_out_is_a_config_error(tmp_path, capsys):

@@ -137,10 +137,26 @@ def test_domain_rejection(alpha, beta, z):
 
 
 def test_smallest_supported_order_matches_the_oracles():
-    # alpha = 1e-4 is the floor; z = -3 is in the asymptotic regime, the rest in the series
+    # alpha = 1e-4 is the floor; z = -3 is in the asymptotic regime, z = -1.0001
+    # in the contour, the rest in the series
     for z in (-1e-3, -0.5, -3.0):
         assert ml(1e-4, 1.0, z) == pytest.approx(ml_series_highprec(1e-4, 1.0, z), rel=0.0, abs=1e-13)
     # the series oracle sums ~3e5 Gamma terms here (over 10 s); its Talbot
     # fallback returned the same double
     want = reference._ml_contour_highprec(1e-4, 1.0, 1.0001, 30)
     assert ml(1e-4, 1.0, -1.0001) == pytest.approx(want, rel=0.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 1e-3, 1e-2])
+def test_small_orders_past_the_series_band_match_talbot(alpha):
+    # the contour answers for 1/2 < |z| <= 4**alpha at these orders too
+    for beta in (1.0, alpha):
+        for x in (0.6, 0.9, 4.0**alpha):
+            want = reference._ml_contour_highprec(alpha, beta, x, 30)
+            assert ml(alpha, beta, -x) == pytest.approx(want, rel=0.0, abs=2.5e-13), (beta, x)
+
+
+def test_large_beta_series_keeps_relative_accuracy():
+    # a series cut at an absolute term size would lose most digits of this 4.3e-19
+    want = ml_series_highprec(0.1559, 20.92, -0.353, digits=30)
+    assert ml(0.1559, 20.92, -0.353) == pytest.approx(want, rel=1e-13, abs=0.0)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from fracbinom.analytics import mean
 from fracbinom.model import ProcessParams, Regime, classify, equilibrium_p
-from fracbinom.reference import master_equation_classical, subordination_pmf_mc
+from fracbinom.reference import master_equation_classical, ml_series_highprec, subordination_pmf_mc
 from fracbinom.sampler import fractional_values_at, inverse_subordinator_sample, pure_birth_states_at
 
 
@@ -51,6 +51,9 @@ def test_state_rates():
         dict(birth_rate=math.inf, death_rate=1, ceiling=10, initial=5),
         dict(birth_rate=1, death_rate=1, ceiling=10.5, initial=5),
         dict(birth_rate=1, death_rate=1, ceiling=True, initial=1),
+        dict(birth_rate=1e308, death_rate=1e308, ceiling=10, initial=3),
+        dict(birth_rate=1, death_rate=1, ceiling=10, initial=5, order=5e-5),
+        dict(birth_rate=1, death_rate=1, ceiling=10, initial=5, order=1e-20),
     ],
 )
 def test_invalid_params_rejected(kwargs):
@@ -81,7 +84,7 @@ def test_construction_never_admits_invalid_tuples(birth, death, ceiling, initial
         and birth + death > 0
         and ceiling >= 1
         and 1 <= initial <= ceiling
-        and 0 < order <= 1
+        and 1e-4 <= order <= 1
     )
     if valid:
         p = ProcessParams(birth, death, ceiling, initial, order)
@@ -89,6 +92,14 @@ def test_construction_never_admits_invalid_tuples(birth, death, ceiling, initial
     else:
         with pytest.raises(ValueError):
             ProcessParams(birth, death, ceiling, initial, order)
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0, 5.0, 1e3])
+def test_mean_at_the_smallest_order_matches_the_oracle(t):
+    # mean = M E + N p (1 - E) with E = E_nu(-(lambda + mu) t**nu), p = 1/3
+    e = ml_series_highprec(1e-4, 1.0, -3.0 * t**1e-4)
+    want = 3 * e + 10 * (1 - e) / 3
+    assert mean(ProcessParams(1, 2, 10, 3, 1e-4), t) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_params_are_frozen():

@@ -6,7 +6,10 @@
 For each workload in BENCHMARK.json and each seed 1..--pairs, runs
 `perfbench/run.py --workload W --seed S --seconds N --trace 0` once in the
 parent checkout and once in this tree, one run at a time; odd seeds run the
-parent first, even seeds the change.  After each pair it also starts
+parent first, even seeds the change.  Before each pair, the side that runs
+first makes one discarded WARMUP_SECONDS (5) run of the same workload and
+seed, kept under "warmup" and left out of the summary, so that the side that
+runs first does not also run cold.  After each pair it also starts
 SETUP_ONLY (5) `perfbench/worker.py --setup-only` processes per side, with
 the environment run.py gives its workers, the sides alternating as
 ABBAABBAAB; a run's setup_s is the median of only 5 set-ups, and these extra
@@ -48,6 +51,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SETUP_ONLY = 5  # set-up-only processes per side and pair
+WARMUP_SECONDS = 5  # discarded run before each pair, by the side that runs first
 
 
 def _minor_faults():
@@ -190,7 +194,9 @@ def main():
         "description": (
             "perfbench/run.py results for a parent checkout and this change, one run at a "
             "time, written by tools/bench_pairs.py. Pairs alternate which side runs first "
-            "(odd seeds: parent first). summary_trace0 gives per side the quartiles "
+            "(odd seeds: parent first). Before each pair the side that runs first makes one "
+            f"discarded {WARMUP_SECONDS} s run of the same workload and seed, kept under warmup "
+            "and left out of summary_trace0. summary_trace0 gives per side the quartiles "
             "[q1, median, q3], how many pairs the change won, how many pairs the side that "
             "ran first won (first_wins), and a verdict against each metric's BENCHMARK.json "
             "bound. setup_only holds, per pair and side, the "
@@ -204,11 +210,15 @@ def main():
         "src_lines": {side: _src_lines(path) for side, path in sides.items()},
         "summary_trace0": {},
         "runs": [],
+        "warmup": [],
         "setup_only": [],
     }
     for workload in (w["name"] for w in bench["workloads"]):
         for seed in range(1, args.pairs + 1):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
+            result, faults = _run(sides[order[0]], workload, seed, WARMUP_SECONDS)
+            doc["warmup"].append({"side": order[0], "workload": workload, "seed": seed,
+                                  "minor_faults": faults, "result": result})
             for side in order:
                 result, faults = _run(sides[side], workload, seed, seconds)
                 doc["runs"].append({"side": side, "workload": workload, "seed": seed, "trace": 0,
