@@ -75,6 +75,10 @@ def _finalize_pmf(t, raw):
 # faulted in anew on every call), and at least 64 atoms
 _BLOCK = 1 << 13
 
+# pmf scales its weights by _SCALE and sets factors below 2**-961 to 0 (see pmf)
+_SCALE = 2.0**900
+_LOG_FLOOR = -961.0 * math.log(2.0)
+
 
 def _relaxed_atoms(order, rate_time):
     """Z = exp(-rate_time X) and G = 1 - Z at the atoms of the rule for X (see
@@ -97,8 +101,10 @@ def _log_factorials(bits):
     return table
 
 
-def _binomial_rows(n, success, failure):
-    """Bin(n, .) probabilities of 0..n, one row per node, in log space (0 log 0 = 0)."""
+def _binomial_rows(n, success, failure, floor=-700.0):
+    """Bin(n, .) probabilities of 0..n, one row per node, in log space (0 log 0 = 0);
+    entries whose log is below floor, a number or a column with one value
+    per node, are 0."""
     log_fact = _log_factorials(n.bit_length())[: n + 1]
     k = np.arange(n + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -107,10 +113,11 @@ def _binomial_rows(n, success, failure):
     rows[:, 0] = rest[:, n] = 0.0  # 0 log 0, NaN above where a probability is 0
     rows += log_fact[n] - log_fact - log_fact[::-1]
     rows += rest
-    # terms below exp(-700) ~ 1e-304 are set to 0: exp takes a slow path
-    # where it underflows, and they are below every entry that counts
-    tiny = rows < -700.0
-    np.exp(np.maximum(rows, -700.0, out=rows), out=rows)
+    # exp, and every product that reads its result, takes a slow path where
+    # that is subnormal (below exp(-708)): the default floor, exp(-700) ~
+    # 1e-304, keeps each entry 0 or normal, and pmf raises it (see there)
+    tiny = rows < floor
+    np.exp(np.maximum(rows, floor, out=rows), out=rows)
     np.copyto(rows, 0.0, where=tiny)
     return rows
 
@@ -176,10 +183,10 @@ def extinction_probability(params: ProcessParams, t: float) -> float:
     """P(population == 0 at time t); exactly 0 for the pure-birth regime.
 
     `pgf` at u = 1: the rule's average of the n = 0 term
-    (q (1-Z))**M (q + p Z)**(N-M), with no cancellation however small it
-    is.  Its relative accuracy is that of the rule's tails; the tests hold
-    it within 1e-10 of the Laplace-inversion oracle for N <= 150, at values
-    down to 7e-44.
+    (q (1-Z))**M (q + p Z)**(N-M), with no cancellation, down to the
+    2**-1022 below which `pgf` drops an atom's term.  Its relative accuracy
+    is that of the rule's tails; the tests hold it within 1e-10 of the
+    Laplace-inversion oracle for N <= 150, at values down to 7e-44.
     """
     return pgf(params, 1.0, t)
 
@@ -189,7 +196,13 @@ def pmf(params: ProcessParams, t: float) -> Pmf:
 
     The two-binomial law summed over every atom of the rule, whose weights
     are positive (see the module docstring): nothing cancels.  The sum costs
-    about (atoms) (M+1) (N-M+1) multiply-adds, in blocks of atoms.
+    about (atoms) (M+1) (N-M+1) multiply-adds, in blocks of atoms.  A
+    subnormal operand or product costs 10-100 times a normal one on x86, and
+    tiny weights times entries near exp(-700) made most products subnormal:
+    so each factor below 2**-961, the weight counted in, is set to 0 and the
+    weights are scaled by 2**900, exactly, which puts every product in
+    [2**-1022, 2**900].  What that drops is below ~1e-286 in every entry, so
+    entries below ~1e-250 are accurate in absolute terms only.
     """
     t = _check_time(t)
     decay, growth, weight = _relaxed_atoms(params.order, params.total_rate * t**params.order)
@@ -197,18 +210,21 @@ def pmf(params: ProcessParams, t: float) -> Pmf:
     stay, fill = _occupancy(p, decay, growth)
     vacant, leave = _occupancy(1.0 - p, decay, growth)
     n_cap, m0 = params.ceiling, params.initial
+    with np.errstate(divide="ignore"):
+        weighted_floor = (_LOG_FLOOR - np.log(weight))[:, None]
+    scaled = weight * _SCALE
     # probs[n] sums joint[k, n - k]: padding each row of joint by one and
     # reading the block with rows one shorter shifts row k right by k
     skew = np.zeros((m0 + 1, n_cap + 2))
     block = max(64, _BLOCK // (n_cap + 1))
     for start in range(0, len(weight), block):
         part = slice(start, start + block)
-        kept = _binomial_rows(m0, stay[part], leave[part])
-        gained = _binomial_rows(n_cap - m0, fill[part], vacant[part])
-        gained *= weight[part, None]
+        kept = _binomial_rows(m0, stay[part], leave[part], _LOG_FLOOR)
+        gained = _binomial_rows(n_cap - m0, fill[part], vacant[part], weighted_floor[part])
+        gained *= scaled[part, None]
         skew[:, : n_cap - m0 + 1] += kept.T @ gained
     probs = skew.ravel()[: (m0 + 1) * (n_cap + 1)].reshape(m0 + 1, n_cap + 1).sum(axis=0)
-    return _finalize_pmf(t, probs)
+    return _finalize_pmf(t, probs / _SCALE)
 
 
 def pure_birth_pmf(params: ProcessParams, t: float) -> Pmf:
@@ -252,7 +268,10 @@ def pgf(params: ProcessParams, u: float, t: float) -> float:
     the transform is the rule's average of their product; u = 1 gives
     extinction_probability.  The weighted sum is divided by the weights'
     own sum, taken the same way, so u = 0 gives exactly 1, and since every
-    factor lies in [-1, 1] the value does too.
+    factor lies in [-1, 1] the value does too.  A power of a factor that
+    would fall below 2**-1022 counts as 0 (see _power), so the value is
+    within 2**-1022 ~ 2.2e-308 of the full average, and one below that may
+    come out as 0.
     """
     u = _check_u(u)
     t = _check_time(t)
@@ -260,8 +279,16 @@ def pgf(params: ProcessParams, u: float, t: float) -> float:
     vacant, leave = _occupancy(1.0 - equilibrium_p(params), decay, growth)
     n_cap, m0 = params.ceiling, params.initial
     base = 1.0 - u
-    factors = (base + u * leave) ** m0 * (base + u * vacant) ** (n_cap - m0)
+    factors = _power(base + u * leave, m0) * _power(base + u * vacant, n_cap - m0)
     return float(np.sum(weight * factors) / np.sum(weight))
+
+
+def _power(base, k):
+    """base**k, with 0 where it would fall below 2**-1022, by zeroing those
+    entries of base in place: pow takes a slow path for a subnormal result,
+    and most left-tail atoms gave one.  (At k = 0 every power is 1.)"""
+    base[np.abs(base) < 0.5 ** (1022 / max(k, 1))] = 0.0
+    return base**k
 
 
 def waiting_time_density(params: ProcessParams, j: int, s: float) -> float:

@@ -431,6 +431,51 @@ def test_pmf_above_exact_factorials(args, t):
     _assert_matches_moments(params, t, probs)
 
 
+def test_pmf_tiny_entries_match_binomial_convolution():
+    # at order 1 the law is Bin(M, p + q e) * Bin(N-M, p (1-e)), e = exp(-t);
+    # its entries here reach down to 1e-268, and every product that makes
+    # them stays above the floor of pmf's operands (2**-961 ~ 1e-289)
+    params = ProcessParams(0.37, 0.63, 300, 40, 1.0)
+    t = 0.3
+    probs = pmf(params, t).probs
+    with mp.workdps(40):
+        p, e = mp.mpf(0.37), mp.exp(-mp.mpf(t))
+        stay, fill = p + (1 - p) * e, p * (1 - e)
+        kept = [mp.binomial(40, k) * stay**k * (1 - stay) ** (40 - k) for k in range(41)]
+        gained = [mp.binomial(260, k) * fill**k * (1 - fill) ** (260 - k) for k in range(261)]
+        want = [float(mp.fsum(kept[k] * gained[n - k] for k in range(max(0, n - 260), min(n, 40) + 1)))
+                for n in range(301)]
+    assert min(want) < 1e-250
+    for n, w in enumerate(want):
+        assert abs(probs[n] - w) <= 1e-12 * w, n
+
+
+@pytest.mark.parametrize("t", [0.01, 1.0, 100.0])
+def test_pmf_block_products_have_no_subnormal_operands(monkeypatch, t):
+    # pmf weights the gained rows in place, so the rows _binomial_rows
+    # returned are the operands of the block products once pmf is done;
+    # tiny weights times entries near exp(-700) made hundreds of subnormal
+    # ones here, and each costs 10-100 times a normal product
+    rows = []
+
+    def recorded(*args):
+        rows.append(real(*args))
+        return rows[-1]
+
+    real = analytics._binomial_rows
+    monkeypatch.setattr(analytics, "_binomial_rows", recorded)
+    probs = pmf(ProcessParams(1.2, 0.8, 40, 20, 0.6), t).probs
+    smallest_normal = np.finfo(float).tiny
+    assert len(rows) % 2 == 0 and len(rows) >= 2
+    for kept, gained in zip(rows[::2], rows[1::2]):
+        for operand in (kept, gained):
+            assert np.all((operand == 0.0) | (operand >= smallest_normal))
+        # so is every product, and no sum of them overflows
+        assert kept[kept > 0].min() * gained[gained > 0].min() >= smallest_normal
+        assert np.isfinite(len(kept) * kept.max() * gained.max())
+    assert abs(probs.sum() - 1.0) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # pure birth pmf
 # ---------------------------------------------------------------------------
@@ -514,6 +559,23 @@ def test_extinction_far_from_equilibrium_is_relatively_exact(t):
         e = mp.exp(-2 * mp.mpf(t))
         want = float((0.75 * (1 - e)) ** 90 * (0.75 + 0.25 * e) ** 10)
     assert extinction_probability(params, t) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_extinction_drops_nothing_that_counts():
+    # the rule's own average of (q G)**M (q + p Z)**(N-M), every atom's power
+    # kept in full: pgf sets a base to 0 where its power would fall below
+    # 2**-1022, and that changes nothing at this 7.18e-44
+    params = ProcessParams(0.5, 1.5, 100, 90, 0.6)
+    t = 0.01
+    x, weight = _mwright.rule(0.6)
+    rate_time = params.total_rate * t**params.order
+    with mp.workdps(40):
+        terms = []
+        for xi, wi in zip(x, weight):
+            z = mp.exp(-mp.mpf(rate_time) * mp.mpf(xi))
+            terms.append(mp.mpf(wi) * (mp.mpf(0.75) * (1 - z)) ** 90 * (mp.mpf(0.75) + mp.mpf(0.25) * z) ** 10)
+        want = float(mp.fsum(terms) / mp.fsum(mp.mpf(w) for w in weight))
+    assert extinction_probability(params, t) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,12 @@ samples):
 Each run also records the minor page faults of its process tree (the
 RUSAGE_CHILDREN delta around it), and the summary gives each side's quartiles
 of them next to the metrics: where glibc trims the heap can move a timing
-with no change in the work done, and the faults show it.  The closing lines
-end with each side's count of lines of Python under src/.
+with no change in the work done, and the faults show it.  It also gives each
+side's quartiles of the ops attempted per run and of peak_rss_mb per 1000
+attempted ops: the worker keeps every op's output until its checks run, so
+a change that only runs more ops raises peak_rss_mb but lowers it per 1000
+ops, while one whose library keeps more memory raises both.  The closing
+lines end with each side's count of lines of Python under src/.
 
 The file is rewritten after every pair, so an interrupted run keeps what it
 has measured.  The exit code is 1 if any verdict is "past bound" or any run is
@@ -112,8 +116,9 @@ def _quartiles(values):
 
 def summarize(runs, metrics, setups):
     """Per workload: seeds, correctness, per metric the quartiles, wins and
-    verdict, and each side's quartiles of minor page faults per run; setup_s
-    also gets each side's set-up-only quartiles."""
+    verdict, and each side's quartiles of minor page faults, ops attempted
+    and peak_rss_mb per 1000 attempted ops per run; setup_s also gets each
+    side's set-up-only quartiles."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs, faults = {}, {}
@@ -170,6 +175,17 @@ def summarize(runs, metrics, setups):
             "minor_faults_q1_median_q3": {
                 side: _quartiles([faults[s][side] for s in pairs]) for side in ("parent", "change")
             },
+            "attempted_q1_median_q3": {
+                side: _quartiles([p[side]["attempted"] for p in pairs.values()])
+                for side in ("parent", "change")
+            },
+            "peak_rss_mb_per_1000_ops_q1_median_q3": {
+                side: [round(v, 4) for v in _quartiles([
+                    1000.0 * p[side]["metrics"]["peak_rss_mb"]["value"] / p[side]["attempted"]
+                    for p in pairs.values()
+                ])]
+                for side in ("parent", "change")
+            },
         }
     return summary
 
@@ -203,7 +219,9 @@ def main():
             f"setup_s of {SETUP_ONLY} extra perfbench/worker.py --setup-only processes "
             "(sides alternating), whose quartiles summary_trace0 gives next to setup_s. "
             "Each run's minor_faults counts the minor page faults of its process tree; "
-            "summary_trace0 gives each side's quartiles of them."
+            "summary_trace0 gives each side's quartiles of them, of the ops attempted per "
+            "run, and of peak_rss_mb per 1000 attempted ops (the worker keeps every op's "
+            "output, so peak_rss_mb grows with throughput)."
         ),
         "machine": _machine(),
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
@@ -247,8 +265,10 @@ def main():
                 print(f"{workload:14s} {'set-up only':12s} parent {row['setup_only_parent_q1_median_q3']}, "
                       f"change {row['setup_only_change_q1_median_q3']}")
             failed |= row["verdict"] == "past bound"
-        faults = entry["minor_faults_q1_median_q3"]
-        print(f"{workload:14s} {'minor faults':12s} parent {faults['parent']}, change {faults['change']}")
+        for label, key in (("minor faults", "minor_faults_q1_median_q3"),
+                           ("ops", "attempted_q1_median_q3"),
+                           ("MB/1000 ops", "peak_rss_mb_per_1000_ops_q1_median_q3")):
+            print(f"{workload:14s} {label:12s} parent {entry[key]['parent']}, change {entry[key]['change']}")
     lines = doc["src_lines"]
     print(f"{'src lines':27s} parent {lines['parent']}, change {lines['change']}")
     return 1 if failed else 0
