@@ -166,3 +166,12 @@ def rule(order):
     x.setflags(write=False)
     weight.setflags(write=False)
     return x, weight
+
+
+@functools.lru_cache(maxsize=2)
+def log_weights(order):
+    """log w at the atoms of rule(order), -inf where a weight is 0."""
+    with np.errstate(divide="ignore"):
+        logs = np.log(rule(order)[1])
+    logs.setflags(write=False)
+    return logs

@@ -79,6 +79,15 @@ _BLOCK = 1 << 13
 _SCALE = 2.0**900
 _LOG_FLOOR = -961.0 * math.log(2.0)
 
+# _reach lowers its floors by this many nats, more than the rows' roundoff,
+# which is below 1e-14 (700 + log n!) nats, for every n up to ~6e6: far
+# beyond any pmf that fits in memory
+_SLACK = 1e-6
+
+# _log's stand-in for log 0: k log 0 is then far below any floor for every k
+# >= 1 (up to ~1e58), 0 log 0 = 0, and no NaN or warning arises
+_LOG_ZERO = -1e250
+
 
 def _relaxed_atoms(order, rate_time):
     """Z = exp(-rate_time X) and G = 1 - Z at the atoms of the rule for X (see
@@ -101,18 +110,41 @@ def _log_factorials(bits):
     return table
 
 
-def _binomial_rows(n, success, failure, floor=-700.0):
-    """Bin(n, .) probabilities of 0..n, one row per node, in log space (0 log 0 = 0);
-    entries whose log is below floor, a number or a column with one value
-    per node, are 0."""
+def _log(x):
+    """log x, with log 0 taken as _LOG_ZERO (see there)."""
+    with np.errstate(divide="ignore"):
+        logs = np.log(x)
+    return np.maximum(logs, _LOG_ZERO, out=logs)
+
+
+@functools.lru_cache(maxsize=4)
+def _binomial_terms(n):
+    """k, n - k and log C(n, k) for k = 0..n, kept for the few n in use (a
+    pmf call reads two)."""
     log_fact = _log_factorials(n.bit_length())[: n + 1]
-    k = np.arange(n + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rows = k * np.log(success)[:, None]
-        rest = (n - k) * np.log(failure)[:, None]
-    rows[:, 0] = rest[:, n] = 0.0  # 0 log 0, NaN above where a probability is 0
-    rows += log_fact[n] - log_fact - log_fact[::-1]
-    rows += rest
+    k = np.arange(n + 1.0)  # floats: an int array's products cost a cast
+    terms = k, n - k, log_fact[n] - log_fact - log_fact[::-1]
+    for term in terms:
+        term.setflags(write=False)
+    return terms
+
+
+def _log_binomial(n, log_success, log_failure, start=0, stop=None):
+    """log Bin(n, .) at start..stop-1 (by default 0..n), one row per node,
+    from the logs of each node's success and failure chances (see _log)."""
+    k, rest, log_choose = _binomial_terms(n)
+    cols = slice(start, stop)
+    rows = k[cols] * log_success[:, None]
+    rows += log_choose[cols]
+    rows += rest[cols] * log_failure[:, None]
+    return rows
+
+
+def _binomial_rows(n, log_success, log_failure, floor=-700.0, start=0, stop=None):
+    """Bin(n, .) probabilities of start..stop-1 (by default 0..n), as
+    _log_binomial; entries whose log is below floor, a number or a column
+    with one value per node, are 0."""
+    rows = _log_binomial(n, log_success, log_failure, start, stop)
     # exp, and every product that reads its result, takes a slow path where
     # that is subnormal (below exp(-708)): the default floor, exp(-700) ~
     # 1e-304, keeps each entry 0 or normal, and pmf raises it (see there)
@@ -120,6 +152,26 @@ def _binomial_rows(n, success, failure, floor=-700.0):
     np.exp(np.maximum(rows, floor, out=rows), out=rows)
     np.copyto(rows, 0.0, where=tiny)
     return rows
+
+
+def _reach(n, log_success, log_failure, floor, rising):
+    """Per block of atoms, the columns start:stop of its Bin(n, .) rows that
+    can hold an entry whose log is at least floor (a number, or a column with
+    one per block), from the chances' logs at the blocks' first atoms, then
+    at their last atoms; rising tells whether the success chance grows along
+    a block or falls.
+
+    At column k the entry is largest at chance k/n and falls away from it.
+    So left of the mode of the block's least chance every atom's entry is at
+    most that atom's, and right of the mode of its greatest chance at most
+    that one's: their rows' first and last entries at or above the floor
+    (lowered by _SLACK, far above the rows' roundoff) bound the columns that
+    any atom of the block reaches.  An end row that reaches none bounds
+    nothing on its side.
+    """
+    hit = _log_binomial(n, log_success, log_failure).reshape(2, -1, n + 1) >= floor - _SLACK
+    low, high = hit if rising else hit[::-1]
+    return low.argmax(axis=1), n + 1 - high[:, ::-1].argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,34 +247,49 @@ def pmf(params: ProcessParams, t: float) -> Pmf:
     """Distribution of the population at time t over states 0..ceiling.
 
     The two-binomial law summed over every atom of the rule, whose weights
-    are positive (see the module docstring): nothing cancels.  The sum costs
-    about (atoms) (M+1) (N-M+1) multiply-adds, in blocks of atoms.  A
-    subnormal operand or product costs 10-100 times a normal one on x86, and
-    tiny weights times entries near exp(-700) made most products subnormal:
-    so each factor below 2**-961, the weight counted in, is set to 0 and the
-    weights are scaled by 2**900, exactly, which puts every product in
-    [2**-1022, 2**900].  What that drops is below ~1e-286 in every entry, so
-    entries below ~1e-250 are accurate in absolute terms only.
+    are positive (see the module docstring): nothing cancels.  The sum runs
+    over blocks of atoms, and each block builds and multiplies only the
+    columns of its Bin(M, .) and Bin(N-M, .) rows in which some atom clears
+    the floors below (see _reach): at most (atoms) (M+1) (N-M+1)
+    multiply-adds, and far fewer at large N, where most atoms' rows are 0
+    outside a few columns.  A subnormal operand or product costs 10-100
+    times a normal one on x86, and tiny weights times entries near
+    exp(-700) made most products subnormal: so each factor below 2**-961,
+    the weight counted in, is set to 0 and the weights are scaled by 2**900,
+    exactly, which puts every product in [2**-1022, 2**900].  What that
+    drops is below ~1e-286 in every entry, so entries below ~1e-250 are
+    accurate in absolute terms only.
     """
     t = _check_time(t)
     decay, growth, weight = _relaxed_atoms(params.order, params.total_rate * t**params.order)
+    log_weight = _mwright.log_weights(params.order)
     p = equilibrium_p(params)
     stay, fill = _occupancy(p, decay, growth)
     vacant, leave = _occupancy(1.0 - p, decay, growth)
+    logs = _log(np.concatenate((stay, leave, fill, vacant))).reshape(4, -1)
+    log_stay, log_leave, log_fill, log_vacant = logs
     n_cap, m0 = params.ceiling, params.initial
-    with np.errstate(divide="ignore"):
-        weighted_floor = (_LOG_FLOOR - np.log(weight))[:, None]
+    weighted_floor = (_LOG_FLOOR - log_weight)[:, None]
     scaled = weight * _SCALE
     # probs[n] sums joint[k, n - k]: padding each row of joint by one and
     # reading the block with rows one shorter shifts row k right by k
     skew = np.zeros((m0 + 1, n_cap + 2))
     block = max(64, _BLOCK // (n_cap + 1))
-    for start in range(0, len(weight), block):
+    first = range(0, len(weight), block)
+    edges = logs.take([*first, *(min(start + block, len(weight)) - 1 for start in first)], axis=1)
+    top = np.maximum.reduceat(log_weight, first)
+    # the atoms ascend in x, so along a block stay falls and fill rises; a
+    # gained entry counts from _LOG_FLOOR - log w, least at the heaviest atom
+    kept_cols = _reach(m0, edges[0], edges[1], _LOG_FLOOR, rising=False)
+    gained_cols = _reach(n_cap - m0, edges[2], edges[3], (_LOG_FLOOR - top)[:, None], rising=True)
+    for start, top_weight, k0, k1, j0, j1 in zip(first, *(c.tolist() for c in (top, *kept_cols, *gained_cols))):
+        if top_weight < _LOG_FLOOR - _SLACK:
+            continue  # no atom of the block reaches the floor
         part = slice(start, start + block)
-        kept = _binomial_rows(m0, stay[part], leave[part], _LOG_FLOOR)
-        gained = _binomial_rows(n_cap - m0, fill[part], vacant[part], weighted_floor[part])
+        kept = _binomial_rows(m0, log_stay[part], log_leave[part], _LOG_FLOOR, k0, k1)
+        gained = _binomial_rows(n_cap - m0, log_fill[part], log_vacant[part], weighted_floor[part], j0, j1)
         gained *= scaled[part, None]
-        skew[:, : n_cap - m0 + 1] += kept.T @ gained
+        skew[k0:k1, j0:j1] += kept.T @ gained
     probs = skew.ravel()[: (m0 + 1) * (n_cap + 1)].reshape(m0 + 1, n_cap + 1).sum(axis=0)
     return _finalize_pmf(t, probs / _SCALE)
 
@@ -240,7 +307,7 @@ def pure_birth_pmf(params: ProcessParams, t: float) -> Pmf:
 def equilibrium_pmf(params: ProcessParams) -> Pmf:
     """Long-run binomial distribution over 0..ceiling."""
     p = equilibrium_p(params)
-    probs = _binomial_rows(params.ceiling, np.array([p]), np.array([1.0 - p]))[0]
+    probs = _binomial_rows(params.ceiling, _log(np.array([p])), _log(np.array([1.0 - p])))[0]
     return Pmf(t=math.inf, probs=probs / probs.sum())
 
 

@@ -26,7 +26,7 @@ from fracbinom.analytics import (
 )
 from fracbinom import _mwright, analytics
 from fracbinom.mittag_leffler import ml_one
-from fracbinom.model import ProcessParams
+from fracbinom.model import ProcessParams, _occupancy
 from fracbinom.reference import fractional_pmf_laplace, master_equation_classical, ml_series_highprec
 
 FIG1_LEFT = ProcessParams(1, 1, 100, 40, 0.7)
@@ -431,6 +431,48 @@ def test_pmf_above_exact_factorials(args, t):
     _assert_matches_moments(params, t, probs)
 
 
+def _full_column_pmf(params, t):
+    """pmf's block sum with every column of every block built: the
+    untrimmed sum that pmf's column bounds must reproduce."""
+    order = params.order
+    decay, growth, weight = analytics._relaxed_atoms(order, params.total_rate * t**order)
+    p = params.birth_rate / (params.birth_rate + params.death_rate)
+    stay, fill = _occupancy(p, decay, growth)
+    vacant, leave = _occupancy(1.0 - p, decay, growth)
+    log_stay, log_leave, log_fill, log_vacant = (analytics._log(v) for v in (stay, leave, fill, vacant))
+    weighted_floor = (analytics._LOG_FLOOR - _mwright.log_weights(order))[:, None]
+    n_cap, m0 = params.ceiling, params.initial
+    skew = np.zeros((m0 + 1, n_cap + 2))
+    block = max(64, analytics._BLOCK // (n_cap + 1))
+    for start in range(0, len(weight), block):
+        part = slice(start, start + block)
+        kept = analytics._binomial_rows(m0, log_stay[part], log_leave[part], analytics._LOG_FLOOR)
+        gained = analytics._binomial_rows(n_cap - m0, log_fill[part], log_vacant[part], weighted_floor[part])
+        gained *= weight[part, None] * analytics._SCALE
+        skew[:, : n_cap - m0 + 1] += kept.T @ gained
+    probs = skew.ravel()[: (m0 + 1) * (n_cap + 1)].reshape(m0 + 1, n_cap + 1).sum(axis=0)
+    return _finalize_pmf(t, probs / analytics._SCALE).probs
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("rates", [(1.0, 2.0), (1.0, 0.0), (0.0, 1.0)])
+@pytest.mark.parametrize("order", [0.3, 0.9, 1.0])
+@pytest.mark.parametrize("n_cap", [10, 150, 1000])
+def test_pmf_matches_full_column_sum(n_cap, order, rates, t):
+    # pmf builds only the columns that some atom of a block lifts above the
+    # floors; every column it drops must have been all 0.  Block products of
+    # other shapes may round differently, by a few ulps (entries down to
+    # 1e-265 moved by up to 3e-16 of themselves), so each entry is held to a
+    # relative 4e-15 and, below 1e-250, where pmf is accurate in absolute
+    # terms only, to 1e-280 besides
+    params = ProcessParams(*rates, n_cap, n_cap // 3, order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pmf(params, t).probs
+    want = _full_column_pmf(params, t)
+    assert np.all(np.abs(got - want) <= 4e-15 * want + 1e-280)
+
+
 def test_pmf_tiny_entries_match_binomial_convolution():
     # at order 1 the law is Bin(M, p + q e) * Bin(N-M, p (1-e)), e = exp(-t);
     # its entries here reach down to 1e-268, and every product that makes
@@ -455,25 +497,28 @@ def test_pmf_block_products_have_no_subnormal_operands(monkeypatch, t):
     # pmf weights the gained rows in place, so the rows _binomial_rows
     # returned are the operands of the block products once pmf is done;
     # tiny weights times entries near exp(-700) made hundreds of subnormal
-    # ones here, and each costs 10-100 times a normal product
+    # ones here, and each costs 10-100 times a normal product.  At N = 400
+    # most blocks build only some of their columns.
     rows = []
 
-    def recorded(*args):
-        rows.append(real(*args))
+    def recorded(*args, **kwargs):
+        rows.append(real(*args, **kwargs))
         return rows[-1]
 
     real = analytics._binomial_rows
     monkeypatch.setattr(analytics, "_binomial_rows", recorded)
-    probs = pmf(ProcessParams(1.2, 0.8, 40, 20, 0.6), t).probs
     smallest_normal = np.finfo(float).tiny
-    assert len(rows) % 2 == 0 and len(rows) >= 2
-    for kept, gained in zip(rows[::2], rows[1::2]):
-        for operand in (kept, gained):
-            assert np.all((operand == 0.0) | (operand >= smallest_normal))
-        # so is every product, and no sum of them overflows
-        assert kept[kept > 0].min() * gained[gained > 0].min() >= smallest_normal
-        assert np.isfinite(len(kept) * kept.max() * gained.max())
-    assert abs(probs.sum() - 1.0) <= 1e-12
+    for n_cap in (40, 400):
+        rows.clear()
+        probs = pmf(ProcessParams(1.2, 0.8, n_cap, n_cap // 2, 0.6), t).probs
+        assert len(rows) % 2 == 0 and len(rows) >= 2
+        for kept, gained in zip(rows[::2], rows[1::2]):
+            for operand in (kept, gained):
+                assert np.all((operand == 0.0) | (operand >= smallest_normal))
+            # so is every product, and no sum of them overflows
+            assert kept[kept > 0].min() * gained[gained > 0].min() >= smallest_normal
+            assert np.isfinite(len(kept) * kept.max() * gained.max())
+        assert abs(probs.sum() - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
