@@ -258,7 +258,11 @@ def pmf(params: ProcessParams, t: float) -> Pmf:
     the weight counted in, is set to 0 and the weights are scaled by 2**900,
     exactly, which puts every product in [2**-1022, 2**900].  What that
     drops is below ~1e-286 in every entry, so entries below ~1e-250 are
-    accurate in absolute terms only.
+    accurate in absolute terms only.  The rule's step in log X resolves
+    binomial laws up to N of about 150.  Past that the entries stay
+    nonnegative and normalized but can be less accurate: one entry is
+    2.5e-8 off the Laplace-inversion oracle at (7.97, 0.675, 600, 100, 0.1),
+    t = 1.7e3.
     """
     t = _check_time(t)
     decay, growth, weight = _relaxed_atoms(params.order, params.total_rate * t**params.order)

@@ -6,7 +6,12 @@ from hypothesis import given, strategies as st
 
 from fracbinom.analytics import mean
 from fracbinom.model import ProcessParams, Regime, classify, equilibrium_p
-from fracbinom.reference import master_equation_classical, ml_series_highprec, subordination_pmf_mc
+from fracbinom.reference import (
+    classical_pmf_batch,
+    master_equation_classical,
+    ml_series_highprec,
+    subordination_pmf_mc,
+)
 from fracbinom.sampler import fractional_values_at, inverse_subordinator_sample, pure_birth_states_at
 
 
@@ -120,6 +125,7 @@ _PURE_BIRTH = ProcessParams(1, 0, 5, 1, 0.6)
         lambda t: inverse_subordinator_sample(0.6, t, np.random.default_rng(0), size=10),
         lambda t: subordination_pmf_mc(_PURE_BIRTH, t, 1000, seed=0),
         lambda t: master_equation_classical(_PURE_BIRTH, t),
+        lambda t: classical_pmf_batch(_PURE_BIRTH, [0.5, t]),
     ],
     ids=[
         "mean",
@@ -128,6 +134,7 @@ _PURE_BIRTH = ProcessParams(1, 0, 5, 1, 0.6)
         "inverse_subordinator_sample",
         "subordination_pmf_mc",
         "master_equation_classical",
+        "classical_pmf_batch",
     ],
 )
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])

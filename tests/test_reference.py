@@ -15,6 +15,7 @@ from fracbinom.reference import (
     ml_series_highprec,
     subordination_pmf_mc,
 )
+from fracbinom.sampler import inverse_subordinator_sample
 
 SMALL = ProcessParams(1, 2, 12, 5, 1.0)
 
@@ -55,19 +56,32 @@ def test_master_equation_methods():
             master_equation_classical(SMALL, 1.0, method=method)
 
 
-@pytest.mark.parametrize(
+_BAD_OUTPUT = pytest.mark.parametrize(
     "bad, message",
     [
         (np.full(13, 1.0 / 12.0), "probability not conserved"),
         (np.r_[-1e-9, np.zeros(4), 1.0 + 1e-9, np.zeros(7)], "negative probability"),
     ],
 )
+
+
+@_BAD_OUTPUT
 def test_master_equation_refuses_bad_output(monkeypatch, bad, message):
     import scipy.linalg
 
     monkeypatch.setattr(scipy.linalg, "expm", lambda a: np.outer(bad, np.ones(len(bad))))
     with pytest.raises(ArithmeticError, match=message):
         master_equation_classical(SMALL, 1.0)
+
+
+@_BAD_OUTPUT
+def test_batch_refuses_bad_output(monkeypatch, bad, message):
+    import scipy.linalg
+
+    # every column of every matrix in the stacked call is bad
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: np.broadcast_to(np.outer(bad, np.ones(len(bad))), a.shape))
+    with pytest.raises(ArithmeticError, match=message):
+        classical_pmf_batch(SMALL, [0.5, 1.0])
 
 
 def test_master_equation_default_route_at_large_ceiling():
@@ -108,13 +122,44 @@ def test_spectral_batch_pure_regimes():
 
 
 def test_spectral_batch_falls_back_to_expm():
-    # the eigenvectors of this non-symmetric generator lose conservation by ~45
+    # pure birth from M = 1 at N = 40, where the generator's eigenvectors lose
+    # conservation by ~45; the times are unsorted and one repeats
     params = ProcessParams(1, 0, 40, 1, 1.0)
     ts = np.array([2.0, 0.05, 0.7, 0.7])
     batch = classical_pmf_batch(params, ts)
     for row, t in zip(batch, ts):
         direct = master_equation_classical(params, t, method="expm")
         assert np.abs(row - direct.probs).max() <= 1e-12
+
+
+@pytest.mark.parametrize("args", [(1, 0, 150, 50, 0.6), (0, 1, 100, 90, 0.6)], ids=["pure_birth", "pure_death"])
+def test_batch_matches_expm_at_inverse_subordinator_times(args):
+    # pure birth and pure death at large N, where an eigendecomposition of the
+    # generator loses conservation
+    params = ProcessParams(*args)
+    ts = inverse_subordinator_sample(params.order, 1.0, np.random.default_rng(1), size=10)
+    batch = classical_pmf_batch(params, ts)
+    for row, t in zip(batch, ts):
+        assert np.abs(row - master_equation_classical(params, t).probs).max() <= 1e-12
+
+
+def test_batch_at_its_own_nodes():
+    # a time whose Z is a Chebyshev node exactly takes that node's
+    # exponential instead of dividing by zero
+    nodes = np.cos((np.arange(13) + 0.5) * math.pi / 26) ** 2
+    near = [-np.log(z) / 3.0 + k * np.spacing(-np.log(z) / 3.0) for z in nodes for k in range(-8, 9)]
+    ts = [t for t in near if np.any(np.exp(-3.0 * t) == nodes)]
+    assert len(ts) >= 5
+    for row, t in zip(classical_pmf_batch(SMALL, ts), ts):
+        assert np.abs(row - master_equation_classical(SMALL, t).probs).max() <= 1e-14
+
+
+def test_subordination_mc_pure_birth_at_large_ceiling():
+    from fracbinom.analytics import pmf
+
+    params = ProcessParams(1, 0, 150, 50, 0.6)
+    mc = subordination_pmf_mc(params, 1.0, 20_000, seed=1)
+    assert np.all(np.abs(mc.probs - pmf(params, 1.0).probs) <= 6.0 * mc.se + 1e-10)
 
 
 @pytest.mark.parametrize(
